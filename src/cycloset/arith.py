@@ -295,10 +295,15 @@ class LadicPrefix:
 
     @property
     def value(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.ell + d
-        return total
+        return digits_value(self.ell, self.digits)
+
+
+def digits_value(ell: int, digits) -> int:
+    """The integer sum(d_k * ell**k) spelled by little-endian base-ell digits."""
+    total = 0
+    for d in reversed(digits):
+        total = total * ell + d
+    return total
 
 
 def phi_digits(ell: int, n: int, gamma: int, count: int) -> list[int]:

@@ -1,7 +1,7 @@
 """Command-line surface: enumerate, verify, tree, and phi subcommands.
 
 Exit codes: 0 on success, 1 when a verification finds a divergence,
-2 on bad usage or invalid input.
+2 on bad usage, invalid input, or an input too large for memory.
 """
 
 from __future__ import annotations
@@ -10,36 +10,64 @@ import argparse
 import json
 import math
 import sys
+from operator import itemgetter
 
 from .arith import PrimePowerQ, phi_prefix
 from .cosets import ORACLE_CAP, CosetPartition, CyclotomicCoset
 from .system import splitting_tree
-from .tower import enumerate_cosets, verify, worker_count
+from .tower import _enumerate_pairs, enumerate_cosets, verify
 
 _JSON_INT_MAX = 2**53
+_COLUMNS = ("representative", "size", "leader")
 
 
-def _jint(v: int):
+def _jtext(v: int) -> str:
     # decimal strings above 2**53 so JSON consumers cannot lose precision
-    return v if -_JSON_INT_MAX <= v <= _JSON_INT_MAX else str(v)
+    return str(v) if -_JSON_INT_MAX <= v <= _JSON_INT_MAX else f'"{v}"'
+
+
+def _leader_rows(part: CosetPartition) -> list[tuple[int, int, int]]:
+    return sorted(((c.rep, c.size, c.leader()) for c in part.cosets), key=itemgetter(2))
+
+
+def _render(fmt: str, q: int, n: int, rows: list[tuple[int, ...]], with_leaders: bool) -> str:
+    """The whole `enumerate` output for `rows`, newline-terminated.
+
+    Each row is (representative, size), or (representative, size, leader)
+    with leaders, and becomes one record of a single string.
+    """
+    header = _COLUMNS if with_leaders else _COLUMNS[:2]
+    total = sum(map(itemgetter(1), rows))
+    if fmt == "json":
+        fields = ",\n".join(f'      "{h}": %s' for h in header)
+        record = "    {\n" + fields + "\n    }"
+        # a partition mod n has every rep, size and leader in [0, n]
+        if n > _JSON_INT_MAX:
+            rows = [tuple(map(_jtext, row)) for row in rows]
+        cosets = "[\n" + ",\n".join(map(record.__mod__, rows)) + "\n  ]" if rows else "[]"
+        return '{\n  "q": %s,\n  "n": %s,\n  "cosets": %s,\n  "total": %s\n}\n' % (
+            _jtext(q), _jtext(n), cosets, _jtext(total),
+        )
+    if fmt == "csv":
+        record = ",".join(["%s"] * len(header)) + "\n"
+        return ",".join(header) + "\n" + "".join(map(record.__mod__, rows)) + f"# total={total}\n"
+    widths = [
+        max(len(h), len(str(max(col))), len(str(min(col)))) for h, col in zip(header, zip(*rows))
+    ]
+    record = "  ".join(f"%-{w}s" for w in widths) + "\n"
+    return (
+        "  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n"
+        + "".join(map(record.__mod__, rows))
+        + f"total: {len(rows)} cosets, {total} elements\n"
+    )
 
 
 def partition_to_json(part: CosetPartition, with_leaders: bool = False) -> str:
-    records = []
-    for c in part.cosets:
-        rec = {"representative": _jint(c.rep), "size": _jint(c.size)}
-        if with_leaders:
-            rec["leader"] = _jint(c.leader())
-        records.append(rec)
     if with_leaders:
-        records.sort(key=lambda r: int(r["leader"]))
-    doc = {
-        "q": _jint(part.q),
-        "n": _jint(part.n),
-        "cosets": records,
-        "total": _jint(part.total()),
-    }
-    return json.dumps(doc, indent=2)
+        rows = _leader_rows(part)
+    else:
+        rows = [(c.rep, c.size) for c in part.cosets]
+    return _render("json", part.q, part.n, rows, with_leaders)[:-1]
 
 
 def partition_from_json(text: str) -> CosetPartition:
@@ -63,38 +91,13 @@ def _resolve_q(args) -> int:
     return PrimePowerQ(args.p, args.e if args.e is not None else 1).q
 
 
-def _emit_rows(out, rows, header, fmt, total):
-    if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(str(v) for v in row) + "\n")
-        out.write(f"# total={total}\n")
-    else:
-        widths = [
-            max(len(h), max((len(str(r[i])) for r in rows), default=0))
-            for i, h in enumerate(header)
-        ]
-        out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
-        for row in rows:
-            out.write("  ".join(str(v).ljust(w) for v, w in zip(row, widths)) + "\n")
-        out.write(f"total: {len(rows)} cosets, {total} elements\n")
-
-
 def cmd_enumerate(args) -> int:
     q = _resolve_q(args)
-    part = enumerate_cosets(q, args.n, workers=worker_count())
-    out = sys.stdout
-    if args.format == "json":
-        out.write(partition_to_json(part, with_leaders=args.with_leaders) + "\n")
-        return 0
     if args.with_leaders:
-        rows = sorted((c.leader(), c.rep, c.size) for c in part.cosets)
-        rows = [(rep, size, lead) for lead, rep, size in rows]
-        header = ["representative", "size", "leader"]
+        rows = _leader_rows(enumerate_cosets(q, args.n))
     else:
-        rows = [(c.rep, c.size) for c in part.cosets]
-        header = ["representative", "size"]
-    _emit_rows(out, rows, header, args.format, part.total())
+        rows = _enumerate_pairs(q, args.n)
+    sys.stdout.write(_render(args.format, q, args.n, rows, args.with_leaders))
     return 0
 
 
@@ -199,6 +202,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -19,6 +19,7 @@ from itertools import product
 
 from .arith import (
     check_capacity,
+    digits_value,
     is_prime,
     lte_two,
     mul_order,
@@ -184,10 +185,7 @@ class GeneratingSeries:
 
     @property
     def value(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.ell + d
-        return total
+        return digits_value(self.ell, self.digits)
 
 
 def generating_series(ell: int, q: int, n: int, gamma: int, m: int) -> list[GeneratingSeries]:
@@ -337,10 +335,7 @@ def _depth_slice(ell, q, n, gamma, tau, f):
         ((gamma + n * value) % mod, _stable_size(ell, regime, tau, o, v, m, f))
         for m, _i, _u, _t, value in _stable_families(ell, q, tau, regime, o, v, phi, f)
     ]
-    principal = 0
-    for d in reversed(phi):
-        principal = principal * ell + d
-    out.append(((gamma + n * principal) % mod, tau))
+    out.append(((gamma + n * digits_value(ell, phi)) % mod, tau))
     return out
 
 
@@ -361,15 +356,12 @@ def enumerate_branch(ell: int, q: int, n: int, gamma: int, f: int) -> list[Branc
             for N in range(f + 1)
         )
 
-    principal_value = 0
-    for d in reversed(phi):
-        principal_value = principal_value * ell + d
     out = [
         BranchDescriptor(
             ell, q, n, gamma, tau, regime, o, v,
             PRINCIPAL, None, None, None, (),
             math.inf, math.inf,
-            comps(principal_value, lambda N: tau),
+            comps(digits_value(ell, phi), lambda N: tau),
         )
     ]
     s_offset = v if regime is Regime.TWO_ADIC_THREE else v - 1

@@ -10,9 +10,7 @@ leader keys.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .arith import CapacityError, as_prime_power, check_capacity, factorize, is_prime
@@ -43,17 +41,22 @@ def factorization_plan(n: int) -> FactorizationPlan:
     return FactorizationPlan(factorize(n))
 
 
-def worker_count() -> int:
-    """Worker cap from CYCLOSET_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CYCLOSET_THREADS", "1")))
-    except ValueError:
-        return 1
+def _lift_pairs(ell: int, q: int, n: int, pairs, f: int) -> list[tuple[int, int]]:
+    """(rep, size) of every coset mod ell**f * n over the given cosets mod n.
+
+    Unsorted: the depth-f slices of the base cosets, one after another.
+    """
+    out: list[tuple[int, int]] = []
+    for rep, size in pairs:
+        out += _depth_slice(ell, q, n, rep, size, f)
+    return out
 
 
-def lift_partition(
-    ell: int, q: int, base: CosetPartition, f: int, workers: int | None = None
-) -> CosetPartition:
+def _partition(q: int, n: int, pairs) -> CosetPartition:
+    return CosetPartition(q, n, tuple(CyclotomicCoset(q, n, rep, size) for rep, size in pairs))
+
+
+def lift_partition(ell: int, q: int, base: CosetPartition, f: int) -> CosetPartition:
     """Lift a partition at an ell-free modulus n to ell**f * n.
 
     Emits the depth-f slice of every branch over every base coset;
@@ -71,26 +74,17 @@ def lift_partition(
         return base
     mod = ell**f * base.n
     check_capacity(mod)
-    n = base.n
-    if workers is None:
-        workers = worker_count()
-    if workers > 1 and len(base.cosets) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slices = list(
-                pool.map(lambda c: _depth_slice(ell, q, n, c.rep, c.size, f), base.cosets)
-            )
-    else:
-        slices = [_depth_slice(ell, q, n, c.rep, c.size, f) for c in base.cosets]
-    pairs = sorted(pair for one in slices for pair in one)
-    cosets = tuple(CyclotomicCoset(q, mod, rep, size) for rep, size in pairs)
-    return CosetPartition(q, mod, cosets)
+    pairs = _lift_pairs(ell, q, base.n, [(c.rep, c.size) for c in base.cosets], f)
+    pairs.sort()
+    return _partition(q, mod, pairs)
 
 
-def enumerate_cosets(q: int, n: int, workers: int | None = None) -> CosetPartition:
-    """All q-cyclotomic cosets modulo n, by chained prime-power lifts.
+def _enumerate_pairs(q: int, n: int) -> list[tuple[int, int]]:
+    """(rep, size) of every q-cyclotomic coset modulo n, ascending by rep.
 
-    Starts from the single coset {0} modulo 1 and folds `lift_partition`
-    over the prime factorization of n in ascending prime order.
+    Starts from the single coset {0} modulo 1 and lifts it through the
+    prime factorization of n in ascending prime order, sorting once at
+    the end.
     """
     as_prime_power(q)
     if n < 1:
@@ -98,10 +92,19 @@ def enumerate_cosets(q: int, n: int, workers: int | None = None) -> CosetPartiti
     check_capacity(n)
     if math.gcd(q, n) != 1:
         raise ValueError(f"gcd(q={q}, n={n}) must be 1")
-    part = CosetPartition(q, 1, (CyclotomicCoset(q, 1, 0, 1),))
+    pairs = [(0, 1)]
+    m = 1
     for ell, f in factorization_plan(n).factors:
-        part = lift_partition(ell, q, part, f, workers=workers)
-    return part
+        pairs = _lift_pairs(ell, q, m, pairs, f)
+        m *= ell**f
+    pairs.sort()
+    return pairs
+
+
+def enumerate_cosets(q: int, n: int) -> CosetPartition:
+    """All q-cyclotomic cosets modulo n, by chained prime-power lifts,
+    sorted by representative."""
+    return _partition(q, n, _enumerate_pairs(q, n))
 
 
 @dataclass(frozen=True)

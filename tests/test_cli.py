@@ -1,9 +1,76 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloset import CosetPartition, CyclotomicCoset, enumerate_cosets
 from cycloset.cli import main, partition_from_json, partition_to_json
+
+FORMATS = ("json", "csv", "table")
+
+
+# Reference encoders: the document built as dicts and encoded by
+# json.dumps, and rows written one at a time. The CLI's single-string
+# formatter must match them byte for byte.
+
+
+def _ref_jint(v):
+    return v if -(2**53) <= v <= 2**53 else str(v)
+
+
+def reference_json(part, with_leaders=False):
+    records = []
+    for c in part.cosets:
+        rec = {"representative": _ref_jint(c.rep), "size": _ref_jint(c.size)}
+        if with_leaders:
+            rec["leader"] = _ref_jint(c.leader())
+        records.append(rec)
+    if with_leaders:
+        records.sort(key=lambda r: int(r["leader"]))
+    doc = {
+        "q": _ref_jint(part.q),
+        "n": _ref_jint(part.n),
+        "cosets": records,
+        "total": _ref_jint(part.total()),
+    }
+    return json.dumps(doc, indent=2)
+
+
+def _ref_emit_rows(out, rows, header, fmt, total):
+    if fmt == "csv":
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(str(v) for v in row) + "\n")
+        out.write(f"# total={total}\n")
+    else:
+        widths = [
+            max(len(h), max((len(str(r[i])) for r in rows), default=0))
+            for i, h in enumerate(header)
+        ]
+        out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
+        for row in rows:
+            out.write("  ".join(str(v).ljust(w) for v, w in zip(row, widths)) + "\n")
+        out.write(f"total: {len(rows)} cosets, {total} elements\n")
+
+
+def reference_enumerate(q, n, fmt, with_leaders=False):
+    part = enumerate_cosets(q, n)
+    if fmt == "json":
+        return reference_json(part, with_leaders) + "\n"
+    if with_leaders:
+        rows = sorted((c.leader(), c.rep, c.size) for c in part.cosets)
+        rows = [(rep, size, lead) for lead, rep, size in rows]
+        header = ["representative", "size", "leader"]
+    else:
+        rows = [(c.rep, c.size) for c in part.cosets]
+        header = ["representative", "size"]
+    out = io.StringIO()
+    _ref_emit_rows(out, rows, header, fmt, part.total())
+    return out.getvalue()
 
 
 def run(capsys, *argv):
@@ -175,6 +242,78 @@ def test_phi_output(capsys):
 def test_phi_bad_digits(capsys):
     code, _, err = run(capsys, "phi", "--ell", "3", "--n", "16", "--gamma", "1", "--digits", "0")
     assert code == 2
+
+
+def _enumerate_out(q, n, fmt, *extra):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["enumerate", "--q", str(q), "--n", str(n), "--format", fmt, *extra])
+    assert code == 0
+    return buf.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 49, 97, 101, 125]),
+    st.integers(1, 10**5),
+)
+def test_output_matches_reference_encoders(q, n):
+    if math.gcd(q, n) != 1:
+        return
+    for fmt in FORMATS:
+        assert _enumerate_out(q, n, fmt) == reference_enumerate(q, n, fmt), fmt
+
+
+@pytest.mark.parametrize(
+    "q, n",
+    [
+        (5, 1),  # a single coset
+        (3, 2**60),  # reps and sizes on both sides of 2**53
+        (3, 2**53),  # every value at most 2**53: nothing quoted
+        (5, 3888),  # the widest size is not in the last row
+    ],
+)
+def test_fixed_cases_match_reference_encoders(q, n):
+    for fmt in FORMATS:
+        assert _enumerate_out(q, n, fmt) == reference_enumerate(q, n, fmt), fmt
+
+
+def test_fixed_cases_have_their_property():
+    big = enumerate_cosets(3, 2**60).cosets
+    for values in ([c.rep for c in big], [c.size for c in big]):
+        assert min(values) <= 2**53 < max(values)
+    sizes = [c.size for c in enumerate_cosets(5, 3888).cosets]
+    assert len(str(sizes[-1])) < max(len(str(s)) for s in sizes)
+
+
+def test_hand_built_partitions_match_reference_encoder():
+    n = 2**53 + 2
+    edge = CosetPartition(3, n, (CyclotomicCoset(3, n, 2**53, 2), CyclotomicCoset(3, n, n - 1, 1)))
+    assert '"representative": 9007199254740992,' in partition_to_json(edge)
+    for part in (edge, CosetPartition(5, 16, ())):
+        assert partition_to_json(part) == reference_json(part)
+
+
+@pytest.mark.parametrize("q, n", [(5, 16), (2, 9), (5, 3888), (7, 1)])
+def test_with_leaders_matches_reference_encoders(q, n):
+    for fmt in FORMATS:
+        out = _enumerate_out(q, n, fmt, "--with-leaders")
+        assert out == reference_enumerate(q, n, fmt, with_leaders=True), fmt
+    part = enumerate_cosets(q, n)
+    assert partition_to_json(part, with_leaders=True) == reference_json(part, with_leaders=True)
+
+
+def test_memory_error_exit_code(capsys, monkeypatch):
+    import cycloset.cli as cli_mod
+
+    def exhausted(q, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "_enumerate_pairs", exhausted)
+    code, out, err = run(capsys, "enumerate", "--q", "3", "--n", "9223372036854775783")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_missing_subcommand():

@@ -13,7 +13,6 @@ from cycloset import (
     lift_partition,
     project,
     verify,
-    worker_count,
 )
 
 
@@ -78,10 +77,15 @@ def test_enumerate_cosets_errors():
 
 
 def test_prime_order_independence():
-    # folding the towers largest-prime-first relabels cosets but yields
-    # the same partition
+    # folding lift_partition smallest-prime-first gives enumerate_cosets
+    # exactly; largest-prime-first relabels cosets but yields the same
+    # partition
     for q, n in ((5, 3888), (7, 720), (2, 1575)):
         ascending = enumerate_cosets(q, n)
+        part = _seed(q)
+        for ell, f in factorization_plan(n).factors:
+            part = lift_partition(ell, q, part, f)
+        assert part == ascending
         part = _seed(q)
         for ell, f in reversed(factorization_plan(n).factors):
             part = lift_partition(ell, q, part, f)
@@ -132,22 +136,6 @@ def test_large_smooth_modulus_without_orbits():
     assert part.total() == n
     assert all(0 <= c.rep < n for c in part.cosets)
     assert elapsed < 10.0
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("CYCLOSET_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("CYCLOSET_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("CYCLOSET_THREADS", "junk")
-    assert worker_count() == 1
-
-
-def test_threaded_lift_is_deterministic():
-    base = enumerate_cosets(5, 16)
-    sequential = lift_partition(3, 5, base, 5, workers=1)
-    threaded = lift_partition(3, 5, base, 5, workers=4)
-    assert sequential == threaded
 
 
 def test_verify_sweep_sample():

@@ -249,6 +249,8 @@ def val_pow_minus_one(ell: int, q: int, d: int) -> int:
     o = mul_order(q, ell)
     if d % o != 0:
         return 0
+    if abs(q) == 1:
+        raise ValueError(f"q**d - 1 = 0 for q = {q}, d = {d}: valuation undefined")
     # base valuation v_ell(q**o - 1), probed against growing powers of ell
     k = 1
     while pow(q, o, ell ** (k + 1)) == 1:

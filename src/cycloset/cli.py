@@ -14,8 +14,7 @@ from operator import itemgetter
 
 from .arith import PrimePowerQ, phi_prefix
 from .cosets import ORACLE_CAP, CosetPartition, CyclotomicCoset
-from .system import splitting_tree
-from .tower import _enumerate_pairs, enumerate_cosets, verify
+from .tower import _enumerate_pairs, enumerate_cosets, splitting_tree, verify
 
 _JSON_INT_MAX = 2**53
 _COLUMNS = ("representative", "size", "leader")
@@ -112,6 +111,8 @@ def _report_line(rep) -> str:
 
 def cmd_verify(args) -> int:
     q = _resolve_q(args)
+    if args.n is not None and args.n_max is not None:
+        raise ValueError("give either --n or --n-max, not both")
     if args.n_max is not None:
         checked = 0
         for n in range(1, args.n_max + 1):

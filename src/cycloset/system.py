@@ -65,6 +65,16 @@ def _check_inputs(ell: int, q: int, m: int) -> None:
         raise ValueError(f"gcd(q={q}, m={m}) must be 1")
 
 
+def _check_tower(ell: int, q: int, n: int, f: int) -> None:
+    # arguments of a depth-f tower over an ell-free base modulus n
+    if f < 0:
+        raise ValueError("depth must be nonnegative")
+    _check_inputs(ell, q, n)
+    if n % ell == 0:
+        raise ValueError("base modulus must be coprime to ell")
+    check_capacity(ell**f * n)
+
+
 def classify(ell: int, q: int, m: int, gamma: int) -> SplitKind:
     """One-step behavior of the coset of gamma mod m under extension by ell.
 
@@ -90,8 +100,9 @@ def _classify_with_tau(ell, q, m, gamma, tau):
 def lift_representative(ell: int, m: int, gamma: int) -> int:
     """The lift gamma0 = gamma (mod m) in [0, ell*m) with v_ell(gamma0) > v_ell(m).
 
-    Found by scanning the ell candidate lifts; gamma = 0 qualifies
-    outright. Raises when no lift gains enough valuation.
+    With m = ell**k * m', a lift exists iff ell**k divides gamma, and its
+    digit is the first ell-adic digit of -(gamma/ell**k)/m'; gamma = 0
+    lifts to 0. Raises when no lift gains enough valuation.
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
@@ -99,12 +110,11 @@ def lift_representative(ell: int, m: int, gamma: int) -> int:
         raise ValueError("modulus must be positive")
     check_capacity(ell * m)
     gamma %= m
-    need = val(ell, m) + 1
-    for d in range(ell):
-        cand = gamma + d * m
-        if cand == 0 or val(ell, cand) >= need:
-            return cand
-    raise ValueError(f"no lift of {gamma} mod {m} reaches ell-valuation {need}")
+    k = val(ell, m)
+    step = ell**k
+    if gamma % step:
+        raise ValueError(f"no lift of {gamma} mod {m} reaches ell-valuation {k + 1}")
+    return gamma + m * phi_digits(ell, m // step, gamma // step, 1)[0]
 
 
 def transversal_R(ell: int, q: int, tau: int) -> list[int]:
@@ -198,19 +208,13 @@ def generating_series(ell: int, q: int, n: int, gamma: int, m: int) -> list[Gene
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    _check_inputs(ell, q, n)
-    if n % ell == 0:
-        raise ValueError("base modulus must be coprime to ell")
-    gamma %= n
-    tau = size_of(q, n, gamma)
-    digits = phi_digits(ell, n, gamma, m + 1)
-    prefix = tuple(digits[:m])
-    if ell != 2 and pow(q, tau, ell) != 1:
-        subs = [(digits[m] + d) % ell for d in transversal_R(ell, q, tau)]
-    else:
-        subs = digit_complement_S(ell, digits[m])
+    gamma, tau, regime, o, v, phi = _branch_setup(ell, q, n, gamma, m + 1)
+    prefix = tuple(phi[:m])
+    # at depth m + 1 a family departing at m has no tail digits
     return [
-        GeneratingSeries(m, i, prefix + (u,), ell) for i, u in enumerate(subs, 1)
+        GeneratingSeries(m, i, prefix + (u,), ell)
+        for dep, i, u, _t, _value in _stable_families(ell, q, tau, regime, o, v, phi, m + 1)
+        if dep == m
     ]
 
 
@@ -284,35 +288,29 @@ def _stable_families(ell, q, tau, regime, o, v, phi, f):
     yields give distinct cosets modulo ell**f * n.
     """
     offset = 1 if regime is Regime.TWO_ADIC_THREE else 0
-    prefix_val = 0
+    shifts = transversal_R(ell, q, tau) if f and regime is Regime.SEMI_SPLITTING else None
+    principal = digits_value(ell, phi)
     power = 1
     for m in range(f):
-        if regime is Regime.SEMI_SPLITTING:
-            subs = [(phi[m] + d) % ell for d in transversal_R(ell, q, tau)]
-        else:
+        if shifts is None:
             subs = digit_complement_S(ell, phi[m])
+        else:
+            subs = [(phi[m] + d) % ell for d in shifts]
         t_len = min(v - 1, max(0, f - m - 1 - offset))
         tail_base = power * ell ** (1 + offset)
+        tails = [
+            (t, tail_base * digits_value(ell, t)) for t in product(range(ell), repeat=t_len)
+        ]
+        prefix_val = principal % power
         for i, u in enumerate(subs, 1):
             head = prefix_val + u * power
-            for t in product(range(ell), repeat=t_len):
-                value = head
-                scale = tail_base
-                for tj in t:
-                    value += tj * scale
-                    scale *= ell
-                yield m, i, u, t, value
-        prefix_val += phi[m] * power
+            for t, tail in tails:
+                yield m, i, u, t, head + tail
         power *= ell
 
 
 def _branch_setup(ell, q, n, gamma, f):
-    if f < 0:
-        raise ValueError("depth must be nonnegative")
-    _check_inputs(ell, q, n)
-    if n % ell == 0:
-        raise ValueError("base modulus must be coprime to ell")
-    check_capacity(ell**f * n)
+    _check_tower(ell, q, n, f)
     gamma %= n
     tau = size_of(q, n, gamma)
     regime, o, v = _base_params(ell, q, tau)
@@ -392,72 +390,3 @@ def component_size(descriptor: BranchDescriptor, N: int) -> int:
         descriptor.m,
         N,
     )
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    depth: int
-    rep: int
-    size: int
-    kind: SplitKind
-    parent: int | None
-
-
-@dataclass(frozen=True)
-class SplittingTree:
-    """The depth-f preimage tree of all base cosets under extension by ell."""
-
-    ell: int
-    q: int
-    n: int
-    depth: int
-    levels: tuple[tuple[TreeNode, ...], ...]
-
-    def to_dot(self) -> str:
-        lines = [
-            "digraph splitting_tree {",
-            "  rankdir=LR;",
-            "  node [shape=box];",
-        ]
-        for level in self.levels:
-            ids = " ".join(f'"N{nd.depth}_{nd.rep}";' for nd in level)
-            lines.append(f"  {{ rank=same; {ids} }}")
-        for level in self.levels:
-            for nd in level:
-                lines.append(f'  "N{nd.depth}_{nd.rep}" [label="{nd.rep}/{nd.size}"];')
-                if nd.parent is not None:
-                    lines.append(
-                        f'  "N{nd.depth - 1}_{nd.parent}" -> "N{nd.depth}_{nd.rep}";'
-                    )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def splitting_tree(ell: int, q: int, n: int, f: int) -> SplittingTree:
-    """Preimage tree of every coset mod n down to depth f, annotated with
-    sizes and one-step split kinds."""
-    from .tower import enumerate_cosets  # tower builds on this module
-
-    if f < 0:
-        raise ValueError("depth must be nonnegative")
-    _check_inputs(ell, q, n)
-    if n % ell == 0:
-        raise ValueError("base modulus must be coprime to ell")
-    check_capacity(ell**f * n)
-    base = enumerate_cosets(q, n)
-    levels = [
-        tuple(
-            TreeNode(0, c.rep, c.size, _classify_with_tau(ell, q, n, c.rep, c.size), None)
-            for c in base.cosets
-        )
-    ]
-    mod = n
-    for depth in range(1, f + 1):
-        row = []
-        for node in levels[-1]:
-            for child in _decompose_with_tau(ell, q, mod, node.rep, node.size):
-                kind = _classify_with_tau(ell, q, mod * ell, child.rep, child.size)
-                row.append(TreeNode(depth, child.rep, child.size, kind, node.rep))
-        levels.append(tuple(row))
-        mod *= ell
-    return SplittingTree(ell, q, n, f, tuple(levels))

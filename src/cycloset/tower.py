@@ -4,7 +4,8 @@ of Z/1Z through one prime-power tower per prime factor.
 `enumerate_cosets` never walks an orbit; every representative and size
 comes from the closed-form branch slices. `verify` replays the same
 modulus with the brute-force sweep and compares the two partitions by
-leader keys.
+leader keys. `splitting_tree` draws the one-step splits of every coset
+down an ell-power tower.
 """
 
 from __future__ import annotations
@@ -13,14 +14,20 @@ import math
 import time
 from dataclasses import dataclass
 
-from .arith import CapacityError, as_prime_power, check_capacity, factorize, is_prime
+from .arith import CapacityError, as_prime_power, check_capacity, factorize
 from .cosets import (
     ORACLE_CAP,
     CosetPartition,
     CyclotomicCoset,
     _orbit_sweep,
 )
-from .system import _depth_slice
+from .system import (
+    SplitKind,
+    _check_tower,
+    _classify_with_tau,
+    _decompose_with_tau,
+    _depth_slice,
+)
 
 
 @dataclass(frozen=True)
@@ -62,21 +69,23 @@ def lift_partition(ell: int, q: int, base: CosetPartition, f: int) -> CosetParti
     Emits the depth-f slice of every branch over every base coset;
     sizes are analytic throughout. f = 0 returns the base unchanged.
     """
-    if f < 0:
-        raise ValueError("tower height must be nonnegative")
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if math.gcd(ell, base.n) != 1:
-        raise ValueError("base modulus must be coprime to ell")
-    if math.gcd(ell, q) != 1:
-        raise ValueError("ell must be a prime not dividing q")
+    if base.q != q:
+        raise ValueError(f"base partition is for q={base.q}, not q={q}")
+    _check_tower(ell, q, base.n, f)
     if f == 0:
         return base
-    mod = ell**f * base.n
-    check_capacity(mod)
     pairs = _lift_pairs(ell, q, base.n, [(c.rep, c.size) for c in base.cosets], f)
     pairs.sort()
-    return _partition(q, mod, pairs)
+    return _partition(q, ell**f * base.n, pairs)
+
+
+def _check_qn(q: int, n: int) -> None:
+    as_prime_power(q)
+    if n < 1:
+        raise ValueError("n must be positive")
+    check_capacity(n)
+    if math.gcd(q, n) != 1:
+        raise ValueError(f"gcd(q={q}, n={n}) must be 1")
 
 
 def _enumerate_pairs(q: int, n: int) -> list[tuple[int, int]]:
@@ -86,12 +95,7 @@ def _enumerate_pairs(q: int, n: int) -> list[tuple[int, int]]:
     prime factorization of n in ascending prime order, sorting once at
     the end.
     """
-    as_prime_power(q)
-    if n < 1:
-        raise ValueError("n must be positive")
-    check_capacity(n)
-    if math.gcd(q, n) != 1:
-        raise ValueError(f"gcd(q={q}, n={n}) must be 1")
+    _check_qn(q, n)
     pairs = [(0, 1)]
     m = 1
     for ell, f in factorization_plan(n).factors:
@@ -131,9 +135,7 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
     structured coset is checked to land on a distinct true orbit of the
     claimed size, and all true orbits must be hit.
     """
-    if n < 1 or math.gcd(q, n) != 1:
-        raise ValueError(f"gcd(q={q}, n={n}) must be 1")
-    check_capacity(n)
+    _check_qn(q, n)
     if n > oracle_cap:
         raise CapacityError(f"n = {n} exceeds the oracle cap {oracle_cap}")
 
@@ -165,3 +167,64 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
         structured_seconds,
         len(part.cosets),
     )
+
+
+@dataclass(frozen=True)
+class TreeNode:
+    depth: int
+    rep: int
+    size: int
+    kind: SplitKind
+    parent: int | None
+
+
+@dataclass(frozen=True)
+class SplittingTree:
+    """The depth-f preimage tree of all base cosets under extension by ell."""
+
+    ell: int
+    q: int
+    n: int
+    depth: int
+    levels: tuple[tuple[TreeNode, ...], ...]
+
+    def to_dot(self) -> str:
+        lines = [
+            "digraph splitting_tree {",
+            "  rankdir=LR;",
+            "  node [shape=box];",
+        ]
+        for level in self.levels:
+            ids = " ".join(f'"N{nd.depth}_{nd.rep}";' for nd in level)
+            lines.append(f"  {{ rank=same; {ids} }}")
+        for level in self.levels:
+            for nd in level:
+                lines.append(f'  "N{nd.depth}_{nd.rep}" [label="{nd.rep}/{nd.size}"];')
+                if nd.parent is not None:
+                    lines.append(
+                        f'  "N{nd.depth - 1}_{nd.parent}" -> "N{nd.depth}_{nd.rep}";'
+                    )
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+
+def splitting_tree(ell: int, q: int, n: int, f: int) -> SplittingTree:
+    """Preimage tree of every coset mod n down to depth f, annotated with
+    sizes and one-step split kinds."""
+    _check_tower(ell, q, n, f)
+    levels = [
+        tuple(
+            TreeNode(0, rep, size, _classify_with_tau(ell, q, n, rep, size), None)
+            for rep, size in _enumerate_pairs(q, n)
+        )
+    ]
+    mod = n
+    for depth in range(1, f + 1):
+        row = []
+        for node in levels[-1]:
+            for child in _decompose_with_tau(ell, q, mod, node.rep, node.size):
+                kind = _classify_with_tau(ell, q, mod * ell, child.rep, child.size)
+                row.append(TreeNode(depth, child.rep, child.size, kind, node.rep))
+        levels.append(tuple(row))
+        mod *= ell
+    return SplittingTree(ell, q, n, f, tuple(levels))

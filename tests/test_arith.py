@@ -220,6 +220,14 @@ def test_val_pow_minus_one_matches_direct():
         assert val_pow_minus_one(ell, q, d) == _direct_val(ell, q**d - 1)
 
 
+def test_val_pow_minus_one_vanishing_power():
+    # q**d = 1 has no valuation; this used to loop forever
+    for ell, q, d in ((3, 1, 1), (7, 1, 5), (3, -1, 2), (5, -1, 4)):
+        with pytest.raises(ValueError):
+            val_pow_minus_one(ell, q, d)
+    assert val_pow_minus_one(3, -1, 3) == _direct_val(3, -2)
+
+
 def _direct_val(ell, x):
     if x == 0:
         raise AssertionError("q**d - 1 vanished")

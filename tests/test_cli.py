@@ -172,6 +172,13 @@ def test_verify_sweep(capsys):
     assert "all match" in out
 
 
+def test_verify_n_and_n_max_conflict(capsys):
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "16", "--n-max", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: give either --n or --n-max, not both\n"
+
+
 def test_verify_bad_input(capsys):
     code, _, err = run(capsys, "verify", "--q", "4", "--n", "6")
     assert code == 2

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from cycloset import (
+    CapacityError,
+    Regime,
     SplitKind,
     classify,
     component_size,
@@ -130,6 +132,46 @@ def test_lift_representative_no_lift():
         lift_representative(3, 9, 1)
 
 
+def _lift_by_scan(ell, m, gamma):
+    # reference: the smallest of the ell candidate lifts that gains valuation
+    gamma %= m
+    need = val(ell, m) + 1
+    for d in range(ell):
+        cand = gamma + d * m
+        if cand == 0 or val(ell, cand) >= need:
+            return cand
+    raise ValueError(f"no lift of {gamma} mod {m} reaches ell-valuation {need}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
+def test_lift_representative_matches_scan():
+    raised = 0
+    for ell in (2, 3, 5, 7, 11):
+        for m in range(1, 201):
+            for gamma in range(m):
+                expected = _outcome(_lift_by_scan, ell, m, gamma)
+                assert _outcome(lift_representative, ell, m, gamma) == expected
+                raised += isinstance(expected, str)
+    assert raised > 0  # the no-lift branch was compared too
+
+
+def test_lift_representative_large_ell():
+    ell = 1_000_003
+    for m, gamma in ((6 * ell, 5 * ell), (7 * ell * ell, 3 * ell * ell), (999_983, 999_982)):
+        g0 = lift_representative(ell, m, gamma)
+        assert g0 == _lift_by_scan(ell, m, gamma)
+        assert g0 % m == gamma % m and 0 <= g0 < ell * m
+        assert val(ell, g0) > val(ell, m)
+    m, gamma = ell * ell, 123 * ell
+    assert _outcome(lift_representative, ell, m, gamma) == _outcome(_lift_by_scan, ell, m, gamma)
+
+
 def test_transversal_golden():
     assert transversal_R(3, 5, 1) == [1]
     assert transversal_R(7, 2, 1) == [1, 3]
@@ -224,6 +266,15 @@ def test_generating_series_golden():
     assert series[0].value == 8
 
 
+def test_branch_depth_capacity():
+    # ell**(m+1) * n must fit the working range, as for enumerate_branch
+    with pytest.raises(CapacityError):
+        generating_series(3, 5, 16, 0, 45)
+    with pytest.raises(CapacityError):
+        enumerate_branch(3, 5, 16, 0, 46)
+    assert len(generating_series(3, 5, 16, 0, 36)) == 1
+
+
 def test_generating_series_against_phi():
     from cycloset import phi_digits
 
@@ -251,6 +302,21 @@ def test_enumerate_branch_worked_values(gamma):
     assert [d.components[-1][2] for d in descriptors] == sizes
     assert descriptors[0].kind == PRINCIPAL
     assert all(d.kind == STABLE for d in descriptors[1:])
+
+
+@pytest.mark.parametrize("ell, q, n", [(3, 109, 2), (2, 17, 3), (2, 31, 5)])
+def test_stable_tails_are_the_digits_above_the_departure(ell, q, n):
+    # v >= 3 in all three regimes, so tails have two or more digits
+    f = 5
+    for gamma in range(n):
+        descriptors = enumerate_branch(ell, q, n, gamma, f)
+        assert max(len(d.t) for d in descriptors) >= 2
+        for d in descriptors[1:]:
+            value = (d.components[-1][1] - gamma) // n
+            digits = [value // ell**k % ell for k in range(f)]
+            start = d.m + (2 if d.regime is Regime.TWO_ADIC_THREE else 1)
+            assert digits[d.m] == d.digit
+            assert tuple(digits[start : start + len(d.t)]) == d.t
 
 
 def test_enumerate_branch_depth_zero():

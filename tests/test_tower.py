@@ -49,6 +49,8 @@ def test_lift_partition_errors():
         lift_partition(4, 5, _seed(5), 1)  # ell not prime
     with pytest.raises(CapacityError):
         lift_partition(2, 5, _seed(5), 63)
+    with pytest.raises(ValueError, match="q=7, not q=5"):
+        lift_partition(3, 5, enumerate_cosets(7, 16), 1)  # base is for another q
 
 
 def test_enumerate_cosets_golden():
@@ -111,6 +113,23 @@ def test_verify_golden():
     assert report.coset_count == 3
 
     assert verify(7, 1).match
+
+
+def test_verify_checks_arguments_before_sweep(monkeypatch):
+    import cycloset.tower as tower
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("orbit sweep ran before the argument checks")
+
+    monkeypatch.setattr(tower, "_orbit_sweep", no_sweep)
+    with pytest.raises(ValueError, match="6 is not a prime power"):
+        verify(6, 9999991)
+    with pytest.raises(ValueError, match="n must be positive"):
+        verify(5, 0)
+    with pytest.raises(ValueError, match="must be 1"):
+        verify(5, 10)
+    with pytest.raises(CapacityError):
+        verify(3, 2**63)
 
 
 def test_verify_cap():

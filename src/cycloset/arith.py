@@ -15,6 +15,8 @@ from functools import lru_cache
 
 CAPACITY = 1 << 63
 TRIAL_LIMIT = 10**6
+# entries kept by each of the factorize and mul_order caches
+CACHE_SIZE = 4096
 
 # Witnesses making Miller-Rabin deterministic for everything below 3.3e24,
 # which comfortably covers the 2**63 working range.
@@ -26,8 +28,9 @@ class CapacityError(ValueError):
 
 
 def check_capacity(value: int, what: str = "modulus") -> None:
+    # the value stays out of the message: a huge one cannot even be printed
     if value >= CAPACITY:
-        raise CapacityError(f"{what} {value} exceeds the 2**63 working range")
+        raise CapacityError(f"{what} exceeds the 2**63 working range")
 
 
 def val(ell: int, x: int) -> int:
@@ -118,7 +121,7 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as ((p1, e1), ...) with p1 < p2 < ...
 
@@ -177,7 +180,7 @@ def carmichael(n: int) -> int:
     return lam
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def mul_order(m: int, n: int) -> int:
     """Multiplicative order of m modulo n.
 

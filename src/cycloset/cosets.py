@@ -34,7 +34,7 @@ def _orbit(q: int, n: int, start: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclotomicCoset:
     """One orbit of multiplication by q on Z/nZ.
 

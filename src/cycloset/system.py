@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import NamedTuple
 
 from .arith import (
+    CAPACITY,
     check_capacity,
     digits_value,
     is_prime,
@@ -72,7 +74,10 @@ def _check_tower(ell: int, q: int, n: int, f: int) -> None:
     _check_inputs(ell, q, n)
     if n % ell == 0:
         raise ValueError("base modulus must be coprime to ell")
-    check_capacity(ell**f * n)
+    # ell**f * n >= 2**(f * (bits(ell) - 1) + bits(n) - 1): a depth that
+    # is surely too large fails before ell**f is formed
+    too_big = f * (ell.bit_length() - 1) + n.bit_length() > 63
+    check_capacity(CAPACITY if too_big else ell**f * n, "modulus ell**f * n")
 
 
 def classify(ell: int, q: int, m: int, gamma: int) -> SplitKind:
@@ -208,12 +213,12 @@ def generating_series(ell: int, q: int, n: int, gamma: int, m: int) -> list[Gene
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    gamma, tau, regime, o, v, phi = _branch_setup(ell, q, n, gamma, m + 1)
+    _gamma, _tau, plan, phi = _branch_setup(ell, q, n, gamma, m + 1)
     prefix = tuple(phi[:m])
     # at depth m + 1 a family departing at m has no tail digits
     return [
         GeneratingSeries(m, i, prefix + (u,), ell)
-        for dep, i, u, _t, _value in _stable_families(ell, q, tau, regime, o, v, phi, m + 1)
+        for dep, i, u, _t, _value in _stable_families(plan, phi)
         if dep == m
     ]
 
@@ -279,61 +284,111 @@ def _stable_size(ell, regime, tau, o, v, m, N):
     return ell ** max(0, N - m - v) * tau
 
 
-def _stable_families(ell, q, tau, regime, o, v, phi, f):
-    """Yield (m, index, digit, t, value) for every depth-f stable family.
+class _Step(NamedTuple):
+    # one departure position m of a branch plan
+    power: int  # ell**m
+    size: int  # depth-f size of every family departing at m
+    tails: list[tuple[tuple[int, ...], int]]  # (tail digits t, their value in the series)
+    offsets: list[int]  # n * value for each tail, in the same order
 
-    `value` is the full digit series as an integer: the principal prefix
-    below m, the substituted digit at m, then the tail digits. Tails are
-    truncated to the digits that still matter at depth f, so distinct
-    yields give distinct cosets modulo ell**f * n.
+
+class _BranchPlan(NamedTuple):
+    """Everything about the depth-f branches over a base coset of size tau
+    that does not depend on the base representative gamma.
+
+    It is a function of (ell, q, n, tau, f) alone: the regime, the order
+    factor o, the valuation v, the transversal shifts (semi-splitting
+    only), n**-1 mod ell for the digit recurrence of -gamma/n, and one
+    `_Step` per departure position m < f. A base coset enters only through
+    its digits, which pick the substituted digits at each m.
     """
-    offset = 1 if regime is Regime.TWO_ADIC_THREE else 0
+
+    ell: int
+    regime: Regime
+    o: int
+    v: int
+    shifts: list[int] | None
+    ninv: int
+    steps: tuple[_Step, ...]
+
+    def substitutes(self, digit: int) -> list[int]:
+        """Digits a stable family takes where the principal digit is `digit`."""
+        if self.shifts is None:
+            return digit_complement_S(self.ell, digit)
+        return [(digit + d) % self.ell for d in self.shifts]
+
+
+def _branch_plan(ell, q, n, tau, f):
+    """The one statement of the branch rules: substitutions, tails and sizes.
+
+    Tails hold the free digits that still matter at depth f, starting
+    one position above m (two for the 2-adic q**tau = 3 mod 4 regime),
+    so distinct families give distinct cosets modulo ell**f * n.
+    """
+    regime, o, v = _base_params(ell, q, tau)
     shifts = transversal_R(ell, q, tau) if f and regime is Regime.SEMI_SPLITTING else None
-    principal = digits_value(ell, phi)
-    power = 1
+    lift = 2 if regime is Regime.TWO_ADIC_THREE else 1
+    steps = []
     for m in range(f):
-        if shifts is None:
-            subs = digit_complement_S(ell, phi[m])
-        else:
-            subs = [(phi[m] + d) % ell for d in shifts]
-        t_len = min(v - 1, max(0, f - m - 1 - offset))
-        tail_base = power * ell ** (1 + offset)
+        power = ell**m
+        t_len = min(v - 1, max(0, f - m - lift))
+        tail_base = power * ell**lift
         tails = [
             (t, tail_base * digits_value(ell, t)) for t in product(range(ell), repeat=t_len)
         ]
-        prefix_val = principal % power
-        for i, u in enumerate(subs, 1):
-            head = prefix_val + u * power
+        size = _stable_size(ell, regime, tau, o, v, m, f)
+        steps.append(_Step(power, size, tails, [n * tail for _t, tail in tails]))
+    return _BranchPlan(ell, regime, o, v, shifts, pow(n, -1, ell), tuple(steps))
+
+
+def _stable_families(plan, phi):
+    """Yield (m, index, digit, t, value) for every stable family of `plan`.
+
+    `phi` holds the digits of -gamma/n, one per step of the plan. `value`
+    is the full digit series as an integer: the principal prefix below m,
+    the substituted digit at m, then the tail digits.
+    """
+    prefix = 0
+    for m, (power, _size, tails, _offsets) in enumerate(plan.steps):
+        for i, u in enumerate(plan.substitutes(phi[m]), 1):
+            head = prefix + u * power
             for t, tail in tails:
                 yield m, i, u, t, head + tail
-        power *= ell
+        prefix += phi[m] * power
 
 
 def _branch_setup(ell, q, n, gamma, f):
     _check_tower(ell, q, n, f)
     gamma %= n
     tau = size_of(q, n, gamma)
-    regime, o, v = _base_params(ell, q, tau)
-    return gamma, tau, regime, o, v, phi_digits(ell, n, gamma, f)
+    return gamma, tau, _branch_plan(ell, q, n, tau, f), phi_digits(ell, n, gamma, f)
 
 
-def _depth_slice(ell, q, n, gamma, tau, f):
+def _depth_slice(ell, q, n, gamma, tau, f, plans):
     """(rep, size) of every depth-f coset over the orbit of gamma mod n.
 
-    The lean path used by whole-partition lifting: no per-depth
-    component tables, just the depth-f slice of every branch.
+    The lean path of whole-partition lifting, in two parts. The plan for
+    base size tau comes from `plans`, a dict keyed by tau that the caller
+    shares across the base cosets of one lift; it is built on first use.
+    The expansion then walks only the digits of -gamma/n (gamma in
+    [0, n), ell already checked prime), emitting one block of tail offsets
+    per substituted digit and the principal coset last. Every value lies
+    below ell**f * n, so nothing is reduced.
     """
-    gamma %= n
-    if f == 0:
-        return [(gamma, tau)]
-    regime, o, v = _base_params(ell, q, tau)
-    phi = phi_digits(ell, n, gamma, f)
-    mod = ell**f * n
-    out = [
-        ((gamma + n * value) % mod, _stable_size(ell, regime, tau, o, v, m, f))
-        for m, _i, _u, _t, value in _stable_families(ell, q, tau, regime, o, v, phi, f)
-    ]
-    out.append(((gamma + n * digits_value(ell, phi)) % mod, tau))
+    plan = plans.get(tau)
+    if plan is None:
+        plan = plans[tau] = _branch_plan(ell, q, n, tau, f)
+    ninv = plan.ninv
+    out = []
+    a = gamma
+    head = gamma  # gamma + n * (principal digits below m)
+    for power, size, _tails, offsets in plan.steps:
+        d = -a * ninv % ell
+        a = (a + n * d) // ell
+        stride = n * power
+        out += [(head + u * stride + x, size) for u in plan.substitutes(d) for x in offsets]
+        head += d * stride
+    out.append((head, tau))
     return out
 
 
@@ -345,7 +400,8 @@ def enumerate_branch(ell: int, q: int, n: int, gamma: int, f: int) -> list[Branc
     (lexicographic). The depth-f components of all descriptors together
     partition the preimage of the base coset modulo ell**f * n.
     """
-    gamma, tau, regime, o, v, phi = _branch_setup(ell, q, n, gamma, f)
+    gamma, tau, plan, phi = _branch_setup(ell, q, n, gamma, f)
+    regime, o, v = plan.regime, plan.o, plan.v
     powers = [ell**N * n for N in range(f + 1)]
 
     def comps(value, size_at):
@@ -363,7 +419,7 @@ def enumerate_branch(ell: int, q: int, n: int, gamma: int, f: int) -> list[Branc
         )
     ]
     s_offset = v if regime is Regime.TWO_ADIC_THREE else v - 1
-    for m, i, u, t, value in _stable_families(ell, q, tau, regime, o, v, phi, f):
+    for m, i, u, t, value in _stable_families(plan, phi):
         out.append(
             BranchDescriptor(
                 ell, q, n, gamma, tau, regime, o, v,

@@ -52,10 +52,15 @@ def _lift_pairs(ell: int, q: int, n: int, pairs, f: int) -> list[tuple[int, int]
     """(rep, size) of every coset mod ell**f * n over the given cosets mod n.
 
     Unsorted: the depth-f slices of the base cosets, one after another.
+    Planning is split from expansion: the branch plan of each distinct
+    base size tau is built once, in a dict that lives for this call
+    only, and each base coset then just expands its digits against it
+    (`system._depth_slice`).
     """
+    plans: dict = {}
     out: list[tuple[int, int]] = []
     for rep, size in pairs:
-        out += _depth_slice(ell, q, n, rep, size, f)
+        out += _depth_slice(ell, q, n, rep, size, f, plans)
     return out
 
 

@@ -280,3 +280,15 @@ def test_phi_prefix_divisibility_and_stability(ell, n, gamma, N):
     assert (gamma + n * prefix.value) % ell ** (N + 1) == 0
     longer = phi_prefix(ell, n, gamma, N + 3)
     assert longer.digits[: N + 1] == prefix.digits
+
+
+def test_arith_caches_are_bounded():
+    from cycloset.arith import CACHE_SIZE
+
+    for n in range(3, 3 + 2 * CACHE_SIZE + 200, 2):  # distinct odd moduli
+        factorize(n)
+        mul_order(2, n)
+    for cached in (factorize, mul_order):
+        info = cached.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize == CACHE_SIZE  # full, and no larger

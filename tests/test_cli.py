@@ -222,6 +222,13 @@ def test_tree_depth_zero(capsys):
     assert '"N1_' not in out
 
 
+def test_tree_huge_depth_is_a_capacity_error(capsys):
+    code, out, err = run(capsys, "tree", "--ell", "3", "--q", "5", "--n", "16", "--depth", "100000")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the 2**63 working range" in err
+
+
 def test_tree_arities_two_adic(capsys):
     code, out, _ = run(capsys, "tree", "--ell", "2", "--q", "5", "--n", "243", "--depth", "3")
     assert code == 0

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
 
 from cycloset import (
     CapacityError,
+    CyclotomicCoset,
     coset_of,
     enumerate_naive,
     leader,
@@ -136,3 +140,16 @@ def test_project_functorial():
             continue
         c = coset_of(q, n, rng.randrange(0, n))
         assert project(project(c, n1), n2) == project(c, n2)
+
+
+def test_coset_is_frozen_and_pickles():
+    c = coset_of(5, 16, 1)
+    bare = CyclotomicCoset(5, 16, 1, 4)
+    for clone in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert clone == c and clone.elements == c.elements
+    assert c == bare and hash(c) == hash(bare)  # elements take no part
+    assert repr(bare) == "CyclotomicCoset(q=5, n=16, rep=1, size=4)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.rep = 3
+    assert dataclasses.replace(bare, rep=3) == CyclotomicCoset(5, 16, 3, 4)
+    assert not hasattr(c, "__dict__")  # slots: no per-instance dict

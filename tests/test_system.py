@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from itertools import product
 
 import pytest
 
@@ -22,7 +24,15 @@ from cycloset import (
     transversal_R,
     val,
 )
-from cycloset.system import PRINCIPAL, STABLE, _depth_slice
+from cycloset.arith import digits_value, phi_digits
+from cycloset.system import (
+    PRINCIPAL,
+    STABLE,
+    _base_params,
+    _check_tower,
+    _depth_slice,
+    _stable_size,
+)
 
 # Depth-5 slices over every coset mod 16 for q = 5, ell = 3, in descriptor
 # order (principal first, then departure position / substitution index).
@@ -275,6 +285,26 @@ def test_branch_depth_capacity():
     assert len(generating_series(3, 5, 16, 0, 36)) == 1
 
 
+def test_huge_depth_fails_fast_with_capacity_error():
+    # ell**f * n has far more than 4300 digits: no str() of it may happen
+    with pytest.raises(CapacityError, match="exceeds the 2[*][*]63 working range"):
+        enumerate_branch(3, 5, 16, 0, 10**5)
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        _check_tower(3, 5, 16, 10**7)
+    assert time.perf_counter() - t0 < 0.1
+    # just inside and just outside the range
+    _check_tower(2, 3, 1, 62)
+    with pytest.raises(CapacityError):
+        _check_tower(2, 3, 1, 63)
+    _check_tower(2, 7, 3, 61)
+    with pytest.raises(CapacityError):
+        _check_tower(2, 3, 5, 61)
+    _check_tower(3, 2, 1, 39)
+    with pytest.raises(CapacityError):
+        _check_tower(3, 2, 1, 40)
+
+
 def test_generating_series_against_phi():
     from cycloset import phi_digits
 
@@ -354,12 +384,74 @@ def test_enumerate_branch_matches_oracle():
         done += 1
 
 
+# (ell, q, n) whose base cosets reach all four regimes between them:
+# odd ell semi-splitting and splitting (q**tau = 1 mod ell only for some
+# tau, and v >= 2 for q = 19, 251), and ell = 2 with q**tau = 1 or 3 mod 4.
+REGIME_GRID = [
+    (3, 5, 16), (3, 5, 26), (7, 2, 9), (7, 2, 15), (5, 2, 13), (3, 7, 10),
+    (3, 19, 8), (5, 251, 3), (2, 5, 9), (2, 17, 3), (2, 3, 5), (2, 7, 15),
+    (2, 31, 3), (2, 9, 35),
+]
+
+
+def _depth_slice_reference(ell, q, n, gamma, tau, f):
+    # the kernel before plans: every rule recomputed for each base coset
+    gamma %= n
+    if f == 0:
+        return [(gamma, tau)]
+    regime, o, v = _base_params(ell, q, tau)
+    phi = phi_digits(ell, n, gamma, f)
+    mod = ell**f * n
+    offset = 1 if regime is Regime.TWO_ADIC_THREE else 0
+    shifts = transversal_R(ell, q, tau) if regime is Regime.SEMI_SPLITTING else None
+    principal = digits_value(ell, phi)
+    out = []
+    power = 1
+    for m in range(f):
+        if shifts is None:
+            subs = digit_complement_S(ell, phi[m])
+        else:
+            subs = [(phi[m] + d) % ell for d in shifts]
+        t_len = min(v - 1, max(0, f - m - 1 - offset))
+        tail_base = power * ell ** (1 + offset)
+        tails = [tail_base * digits_value(ell, t) for t in product(range(ell), repeat=t_len)]
+        size = _stable_size(ell, regime, tau, o, v, m, f)
+        for u in subs:
+            head = principal % power + u * power
+            for tail in tails:
+                out.append(((gamma + n * (head + tail)) % mod, size))
+        power *= ell
+    out.append(((gamma + n * principal) % mod, tau))
+    return out
+
+
+def test_depth_slice_matches_reference():
+    regimes = set()
+    for ell, q, n in REGIME_GRID:
+        base = enumerate_naive(q, n)
+        for f in range(7):
+            if ell**f * n > 200_000:
+                break
+            plans = {}  # one lift: shared by every base coset
+            for c in base.cosets:
+                expected = _depth_slice_reference(ell, q, n, c.rep, c.size, f)
+                assert _depth_slice(ell, q, n, c.rep, c.size, f, plans) == expected
+                regimes.add(_base_params(ell, q, c.size)[0])
+            assert set(plans) == set(base.size_counter())
+    assert regimes == set(Regime)
+
+
 def test_depth_slice_matches_descriptors():
-    for gamma in (0, 1, 2, 3, 4, 6, 8, 12):
-        tau = size_of(5, 16, gamma)
-        slices = _depth_slice(3, 5, 16, gamma, tau, 5)
-        descriptors = enumerate_branch(3, 5, 16, gamma, 5)
-        assert sorted(slices) == sorted((d.components[-1][1], d.components[-1][2]) for d in descriptors)
+    # one (ell, q, n) per regime: semi-splitting and splitting cosets
+    # mod 16, then v >= 2 splitting, and both 2-adic regimes
+    f = 5
+    for ell, q, n in ((3, 5, 16), (3, 19, 8), (2, 17, 3), (2, 31, 3)):
+        plans = {}
+        for c in enumerate_naive(q, n).cosets:
+            slices = _depth_slice(ell, q, n, c.rep, c.size, f, plans)
+            descriptors = enumerate_branch(ell, q, n, c.rep, f)
+            expected = [(d.components[-1][1], d.components[-1][2]) for d in descriptors]
+            assert sorted(slices) == sorted(expected)
 
 
 def test_degrees_golden():

@@ -163,3 +163,36 @@ def test_verify_sweep_sample():
             if math.gcd(q, n) != 1:
                 continue
             assert verify(q, n).match, (q, n)
+
+
+@pytest.mark.parametrize("q, n", [(5, 3888), (11, 2**4 * 3**3 * 5**2 * 7), (2, 3**4 * 5**2 * 7**2)])
+def test_branch_plan_built_once_per_tau(monkeypatch, q, n):
+    # per tower step: one _base_params per distinct base size tau, and one
+    # transversal_R per distinct semi-splitting tau, however many cosets
+    import cycloset.system as system
+    import cycloset.tower as tower
+
+    calls = {"_base_params": [], "transversal_R": []}
+    for name in calls:
+        real = getattr(system, name)
+
+        def counted(ell, q, tau, real=real, log=calls[name]):
+            log.append((ell, tau))
+            return real(ell, q, tau)
+
+        monkeypatch.setattr(system, name, counted)
+    expected = {"_base_params": [], "transversal_R": []}
+    pairs, m = [(0, 1)], 1
+    for ell, f in factorization_plan(n).factors:
+        taus = sorted({size for _rep, size in pairs})
+        expected["_base_params"] += [(ell, tau) for tau in taus]
+        expected["transversal_R"] += [
+            (ell, tau) for tau in taus if ell != 2 and pow(q, tau, ell) != 1
+        ]
+        pairs = tower._lift_pairs(ell, q, m, pairs, f)
+        m *= ell**f
+    assert len(pairs) > 2 * len(expected["_base_params"])  # cosets outnumber plans
+    assert {k: sorted(v) for k, v in calls.items()} == {
+        k: sorted(v) for k, v in expected.items()
+    }
+    assert sorted(pairs) == [(c.rep, c.size) for c in enumerate_cosets(q, n).cosets]

@@ -273,7 +273,10 @@ class PrimePowerQ:
             raise ValueError("exponent must be positive")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        check_capacity(self.p**self.e, "q")
+        # p**e >= 2**(e * (bits(p) - 1)): an exponent that is surely too
+        # large fails before p**e is formed
+        too_big = self.e * (self.p.bit_length() - 1) >= 63
+        check_capacity(CAPACITY if too_big else self.p**self.e, "q")
 
     @property
     def q(self) -> int:

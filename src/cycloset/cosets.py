@@ -8,9 +8,9 @@ single orbit, and `size_of` gives the orbit length without walking.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .arith import CapacityError, check_capacity, mul_order
 
@@ -127,38 +127,36 @@ def project(coset: CyclotomicCoset, n_prime: int) -> CyclotomicCoset:
     return coset_of(coset.q, n_prime, coset.rep % n_prime)
 
 
-def _orbit_sweep(q, n, leader_map=False):
-    """One pass over Z/nZ: returns (leaders, sizes, per-element leader array).
+def _unvisited(visited: bytearray):
+    """The least unvisited residue, again each time the caller has
+    walked the orbit of the last one."""
+    g = visited.find(0)
+    while g >= 0:
+        yield g
+        g = visited.find(0, g)
 
-    The first unvisited residue of each orbit is its leader, because
-    residues are tried in increasing order.
+
+def _orbit_sweep(q, n, starts=()):
+    """One pass over Z/nZ: returns (reps, sizes) of every orbit walk.
+
+    The orbit of each start is walked first, in the order given; a start
+    whose orbit an earlier start already walked gets size 0. Then every
+    orbit that no start reached is walked from its least residue, in
+    ascending order. reps is the starts followed by those leaders. Each
+    residue is stepped through with x -> q*x mod n exactly once.
     """
     visited = bytearray(n)
-    find = visited.find
     reps: list[int] = []
     sizes: list[int] = []
-    leaders = array("q", bytes(8 * n)) if leader_map else None
-    g = 0
-    while True:
-        g = find(0, g)
-        if g < 0:
-            break
-        reps.append(g)
-        x = g
+    for x in chain(starts, _unvisited(visited)):
+        reps.append(x)
         size = 0
-        if leaders is None:
-            while not visited[x]:
-                visited[x] = 1
-                x = x * q % n
-                size += 1
-        else:
-            while not visited[x]:
-                visited[x] = 1
-                leaders[x] = g
-                x = x * q % n
-                size += 1
+        while not visited[x]:
+            visited[x] = 1
+            x = x * q % n
+            size += 1
         sizes.append(size)
-    return reps, sizes, leaders
+    return reps, sizes
 
 
 def enumerate_naive(
@@ -173,7 +171,7 @@ def enumerate_naive(
     check_capacity(n)
     if n > cap:
         raise CapacityError(f"n = {n} exceeds the oracle cap {cap}")
-    reps, sizes, _ = _orbit_sweep(q, n)
+    reps, sizes = _orbit_sweep(q, n)
     cosets = tuple(
         CyclotomicCoset(q, n, r, s, tuple(_orbit(q, n, r)) if materialize else None)
         for r, s in zip(reps, sizes)

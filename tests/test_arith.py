@@ -109,6 +109,15 @@ def test_prime_power_q():
         PrimePowerQ(5, 0)
 
 
+def test_prime_power_q_capacity_edges():
+    # the bit-length pre-check must not move the exact 2**63 boundary
+    assert PrimePowerQ(2, 62).q == 2**62
+    assert PrimePowerQ(3, 39).q == 3**39
+    for p, e in ((2, 63), (3, 40), (3, 10**7), (2**61 - 1, 2)):
+        with pytest.raises(CapacityError, match="q exceeds the 2\\*\\*63 working range"):
+            PrimePowerQ(p, e)
+
+
 def test_carmichael():
     assert carmichael(1) == 1
     assert carmichael(2) == 1

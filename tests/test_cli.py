@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,16 @@ def test_tree_huge_depth_is_a_capacity_error(capsys):
     assert code == 2
     assert out == ""
     assert "exceeds the 2**63 working range" in err
+
+
+def test_enumerate_huge_q_fails_fast(capsys):
+    # p**e is never formed: 3**10**7 alone takes seconds to build
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--p", "3", "--e", "10000000", "--n", "5")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert out == ""
+    assert "q exceeds the 2**63 working range" in err
 
 
 def test_tree_arities_two_adic(capsys):

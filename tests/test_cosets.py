@@ -15,6 +15,7 @@ from cycloset import (
     project,
     size_of,
 )
+from cycloset.cosets import _orbit_sweep
 
 
 def test_coset_of_golden():
@@ -105,6 +106,16 @@ def test_enumerate_naive_partition_axioms():
         part = enumerate_naive(q, n, materialize=True)
         part.validate()
         assert part.total() == n
+
+
+def test_orbit_sweep_walks_starts_first():
+    # mod 16 under 5: {0} {1,5,9,13} {2,10} {3,7,11,15} {4} {6,14} {8} {12}
+    reps, sizes = _orbit_sweep(5, 16, [7, 3, 10])
+    # 3 lies in the orbit 7 walked, so it takes 0 steps; the orbits no
+    # start reached follow from their least residues
+    assert reps == [7, 3, 10, 0, 1, 4, 6, 8, 12]
+    assert sizes == [4, 0, 2, 1, 4, 1, 2, 1, 1]
+    assert _orbit_sweep(5, 16) == ([0, 1, 2, 3, 4, 6, 8, 12], [1, 4, 2, 4, 1, 2, 1, 1])
 
 
 def test_enumerate_naive_cap():

@@ -1,8 +1,11 @@
 import math
+import random
 import time
+import tracemalloc
 
 import pytest
 
+import cycloset.tower as tower
 from cycloset import (
     CapacityError,
     CosetPartition,
@@ -10,10 +13,12 @@ from cycloset import (
     enumerate_cosets,
     enumerate_naive,
     factorization_plan,
+    factorize,
     lift_partition,
     project,
     verify,
 )
+from cycloset.cosets import _orbit
 
 
 def _seed(q):
@@ -116,12 +121,13 @@ def test_verify_golden():
 
 
 def test_verify_checks_arguments_before_sweep(monkeypatch):
-    import cycloset.tower as tower
+    # the structured path runs first, so it must not start either: it
+    # repeats the (q, n) checks itself and would mask a missing one
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify did work before the argument checks")
 
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("orbit sweep ran before the argument checks")
-
-    monkeypatch.setattr(tower, "_orbit_sweep", no_sweep)
+    monkeypatch.setattr(tower, "enumerate_cosets", no_work)
+    monkeypatch.setattr(tower, "_orbit_sweep", no_work)
     with pytest.raises(ValueError, match="6 is not a prime power"):
         verify(6, 9999991)
     with pytest.raises(ValueError, match="n must be positive"):
@@ -135,6 +141,132 @@ def test_verify_checks_arguments_before_sweep(monkeypatch):
 def test_verify_cap():
     with pytest.raises(CapacityError):
         verify(2, 1001, oracle_cap=1000)
+
+
+def _reference_mismatches(part):
+    """verify's comparison as it was first written: label every residue
+    with its orbit leader, then look up each structured rep."""
+    q, n = part.q, part.n
+    leader_of = [None] * n
+    oracle = {}
+    for g in range(n):
+        if leader_of[g] is None:
+            orbit = _orbit(q, n, g)
+            for x in orbit:
+                leader_of[x] = g
+            oracle[g] = len(orbit)
+    mismatches = []
+    seen = set()
+    for c in part.cosets:
+        lead = leader_of[c.rep]
+        true_size = oracle[lead]
+        if c.size != true_size or lead in seen:
+            mismatches.append((lead, c.rep, true_size, c.size))
+        seen.add(lead)
+    for lead in sorted(oracle.keys() - seen):
+        mismatches.append((lead, None, oracle[lead], None))
+    return tuple(mismatches)
+
+
+SIZE_UP, DROPPED, MOVED, RANDOM_REP = range(4)
+
+
+def _corrupt(part, kind, i, rng):
+    """part with coset i given a wrong size, dropped, given a rep from
+    another coset's orbit, or given a random rep."""
+    q, n = part.q, part.n
+    cosets = list(part.cosets)
+    c = cosets[i]
+    if kind == SIZE_UP:
+        cosets[i] = CyclotomicCoset(q, n, c.rep, c.size + 1)
+    elif kind == DROPPED:
+        del cosets[i]
+    elif kind == MOVED:
+        other = cosets[rng.randrange(len(cosets))]
+        cosets[i] = CyclotomicCoset(q, n, rng.choice(_orbit(q, n, other.rep)), c.size)
+    else:
+        cosets[i] = CyclotomicCoset(q, n, rng.randrange(n), c.size)
+    return CosetPartition(q, n, tuple(cosets))
+
+
+def _verify_with(monkeypatch, part):
+    monkeypatch.setattr(tower, "enumerate_cosets", lambda q, n: part)
+    return verify(part.q, part.n)
+
+
+def test_verify_report_matches_leader_reference(monkeypatch):
+    rng = random.Random(5)
+    qs = [q for q in range(2, 50) if len(factorize(q)) == 1]
+    mismatched = 0
+    for _ in range(400):
+        q, n = rng.choice(qs), rng.randrange(1, 3000)
+        if math.gcd(q, n) != 1:
+            continue
+        part = enumerate_cosets(q, n)
+        kind = rng.randrange(-1, 4)
+        if kind >= 0:
+            part = _corrupt(part, kind, rng.randrange(len(part.cosets)), rng)
+        report = _verify_with(monkeypatch, part)
+        expected = _reference_mismatches(part)
+        assert report.mismatches == expected, (q, n, kind)
+        assert report.match is (expected == ())
+        assert report.coset_count == len(part.cosets)
+        mismatched += not report.match
+    assert mismatched > 100
+
+
+def test_verify_pins_each_mismatch_kind(monkeypatch):
+    # mod 16 under 5: {0} {1,5,9,13} {2,10} {3,7,11,15} {4} {6,14} {8} {12}
+    good = enumerate_cosets(5, 16)
+    assert [(c.rep, c.size) for c in good.cosets] == [
+        (0, 1), (1, 4), (2, 2), (3, 4), (4, 1), (6, 2), (8, 1), (12, 1),
+    ]
+
+    def with_cosets(pairs):
+        return CosetPartition(5, 16, tuple(CyclotomicCoset(5, 16, r, s) for r, s in pairs))
+
+    def mismatches(pairs):
+        report = _verify_with(monkeypatch, with_cosets(pairs))
+        assert report.coset_count == len(pairs)
+        assert report.match is (report.mismatches == ())
+        return report.mismatches
+
+    pairs = [(c.rep, c.size) for c in good.cosets]
+    # wrong size
+    assert mismatches(pairs[:2] + [(2, 3)] + pairs[3:]) == ((2, 2, 2, 3),)
+    # dropped coset: its orbit is missed
+    assert mismatches(pairs[:3] + pairs[4:]) == ((3, None, 4, None),)
+    # rep moved into an earlier coset's orbit: a duplicate, and a missed orbit
+    assert mismatches(pairs[:5] + [(10, 2)] + pairs[6:]) == (
+        (2, 10, 2, 2),
+        (6, None, 2, None),
+    )
+    # a rep that claims a later coset's orbit first: the later true rep is
+    # the duplicate, and the orbit it replaced is missed
+    assert mismatches(pairs[:1] + [(14, 4)] + pairs[2:]) == (
+        (6, 14, 2, 4),
+        (6, 6, 2, 2),
+        (1, None, 4, None),
+    )
+    # a duplicate is reported even when its claimed size matches the 0
+    # steps its walk took
+    assert mismatches(pairs + [(5, 0)]) == ((1, 5, 4, 0),)
+    # a non-leader rep of the right orbit and size is no mismatch
+    assert mismatches(pairs[:3] + [(7, 4)] + pairs[4:]) == ()
+
+
+def test_verify_memory_is_one_byte_per_residue():
+    # the oracle keeps one visited byte per residue and no per-residue
+    # leader label (8 bytes each); the rest is the structured partition
+    n = 2**5 * 3**5 * 7
+    verify(5, n)  # warm caches
+    tracemalloc.start()
+    try:
+        assert verify(5, n).match
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n + 48 * 1024, peak
 
 
 def test_structured_path_is_fast():
@@ -170,7 +302,6 @@ def test_branch_plan_built_once_per_tau(monkeypatch, q, n):
     # per tower step: one _base_params per distinct base size tau, and one
     # transversal_R per distinct semi-splitting tau, however many cosets
     import cycloset.system as system
-    import cycloset.tower as tower
 
     calls = {"_base_params": [], "transversal_R": []}
     for name in calls:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 from .arith import CapacityError, check_capacity, mul_order
@@ -34,7 +34,15 @@ def _orbit(q: int, n: int, start: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
+def _capped_orbit(q: int, n: int, start: int) -> list[int]:
+    """`_orbit`, refused before the walk when it would pass ORACLE_CAP
+    elements; only a modulus above the cap can have such an orbit."""
+    if n > ORACLE_CAP and size_of(q, n, start) > ORACLE_CAP:
+        raise CapacityError(f"orbit exceeds the oracle cap {ORACLE_CAP}")
+    return _orbit(q, n, start)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class CyclotomicCoset:
     """One orbit of multiplication by q on Z/nZ.
 
@@ -49,16 +57,39 @@ class CyclotomicCoset:
     size: int
     elements: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
+    # Hand-written so that each field goes straight into its slot: the
+    # generated __init__ of a frozen dataclass sets every field through
+    # object.__setattr__ by name, which dominates the cost of the many
+    # cosets a partition returns.
+    def __init__(
+        self,
+        q: int,
+        n: int,
+        rep: int,
+        size: int,
+        elements: tuple[int, ...] | None = None,
+    ) -> None:
+        _set_q(self, q)
+        _set_n(self, n)
+        _set_rep(self, rep)
+        _set_size(self, size)
+        _set_elements(self, elements)
+
     def materialize(self) -> tuple[int, ...]:
         if self.elements is not None:
             return self.elements
-        return tuple(_orbit(self.q, self.n, self.rep))
+        return tuple(_capped_orbit(self.q, self.n, self.rep))
 
     def leader(self) -> int:
         """Smallest element of the orbit, walking it on demand."""
-        if self.elements is not None:
-            return min(self.elements)
-        return min(_orbit(self.q, self.n, self.rep))
+        return min(self.materialize())
+
+
+# the slots' member descriptors, which set a field and bypass the frozen
+# __setattr__; bound once here because the class must exist first
+_set_q, _set_n, _set_rep, _set_size, _set_elements = (
+    CyclotomicCoset.__dict__[f.name].__set__ for f in fields(CyclotomicCoset)
+)
 
 
 def leader(coset: CyclotomicCoset) -> int:
@@ -83,11 +114,15 @@ class CosetPartition:
         return [c.rep for c in self.cosets]
 
     def leader_map(self) -> dict[int, int]:
-        """leader -> size for every coset (walks each orbit once)."""
+        """leader -> size for every coset (walks each orbit once, so
+        `CapacityError` past ORACLE_CAP)."""
         return {c.leader(): c.size for c in self.cosets}
 
     def validate(self) -> None:
-        """Check the partition axioms elementwise (O(n) memory)."""
+        """Check the partition axioms elementwise (O(n) memory, so n is
+        capped at ORACLE_CAP)."""
+        if self.n > ORACLE_CAP:
+            raise CapacityError(f"n exceeds the oracle cap {ORACLE_CAP}")
         seen = bytearray(self.n)
         for c in self.cosets:
             for x in c.materialize():
@@ -102,10 +137,11 @@ class CosetPartition:
 
 
 def coset_of(q: int, n: int, gamma: int) -> CyclotomicCoset:
-    """The materialized orbit of gamma mod n under multiplication by q."""
+    """The materialized orbit of gamma mod n under multiplication by q,
+    refused (`CapacityError`) when it has more than ORACLE_CAP elements."""
     _require_coprime(q, n)
     check_capacity(n)
-    elems = _orbit(q, n, gamma)
+    elems = _capped_orbit(q, n, gamma)
     return CyclotomicCoset(q, n, gamma % n, len(elems), tuple(elems))
 
 

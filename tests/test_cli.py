@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloset import CosetPartition, CyclotomicCoset, enumerate_cosets
+from cycloset import CapacityError, CosetPartition, CyclotomicCoset, enumerate_cosets
 from cycloset.cli import main, partition_from_json, partition_to_json
 
 FORMATS = ("json", "csv", "table")
@@ -238,6 +238,18 @@ def test_enumerate_huge_q_fails_fast(capsys):
     assert code == 2
     assert out == ""
     assert "q exceeds the 2**63 working range" in err
+
+
+def test_with_leaders_past_the_oracle_cap_fails_fast(capsys):
+    # the orbit of 1 mod 2**60 has 2**58 elements: refused, not walked
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--q", "3", "--n", str(2**60), "--with-leaders")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "oracle cap" in err
+    with pytest.raises(CapacityError, match="oracle cap"):
+        partition_to_json(enumerate_cosets(3, 2**60), with_leaders=True)
 
 
 def test_tree_arities_two_adic(capsys):

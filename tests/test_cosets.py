@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import random
+import time
 
 import pytest
 
@@ -10,12 +12,14 @@ from cycloset import (
     CapacityError,
     CyclotomicCoset,
     coset_of,
+    enumerate_cosets,
     enumerate_naive,
     leader,
     project,
     size_of,
 )
 from cycloset.cosets import _orbit_sweep
+from cycloset.tower import _enumerate_pairs
 
 
 def test_coset_of_golden():
@@ -156,11 +160,64 @@ def test_project_functorial():
 def test_coset_is_frozen_and_pickles():
     c = coset_of(5, 16, 1)
     bare = CyclotomicCoset(5, 16, 1, 4)
-    for clone in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+    for clone in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c), copy.copy(c)):
         assert clone == c and clone.elements == c.elements
     assert c == bare and hash(c) == hash(bare)  # elements take no part
+    assert hash(bare) == hash((5, 16, 1, 4))
     assert repr(bare) == "CyclotomicCoset(q=5, n=16, rep=1, size=4)"
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.rep = 3
     assert dataclasses.replace(bare, rep=3) == CyclotomicCoset(5, 16, 3, 4)
+    assert dataclasses.replace(c, rep=3).elements == c.elements
     assert not hasattr(c, "__dict__")  # slots: no per-instance dict
+
+    # the hand-written __init__ takes the fields as the generated one would
+    assert bare.elements is None
+    kw = CyclotomicCoset(q=5, n=16, rep=1, size=4, elements=(1, 5, 9, 13))
+    positional = CyclotomicCoset(5, 16, 1, 4, (1, 5, 9, 13))
+    for built in (kw, positional):
+        assert built == c and built.elements == (1, 5, 9, 13)
+        assert pickle.loads(pickle.dumps(built)).elements == (1, 5, 9, 13)
+    params = inspect.signature(CyclotomicCoset).parameters
+    names = [f.name for f in dataclasses.fields(CyclotomicCoset)]
+    assert list(params) == names == ["q", "n", "rep", "size", "elements"]
+    assert [p.default for p in params.values()] == [inspect.Parameter.empty] * 4 + [None]
+    assert CyclotomicCoset.__match_args__ == tuple(names)
+    match bare:
+        case CyclotomicCoset(q, n, rep, size, elements):
+            assert (q, n, rep, size, elements) == (5, 16, 1, 4, None)
+        case _:
+            pytest.fail("positional class pattern did not match")
+
+
+def test_enumerated_cosets_are_bare_pairs():
+    rng = random.Random(17)
+    for _ in range(150):
+        q = rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49])
+        n = rng.randrange(1, 3000)
+        if math.gcd(q, n) != 1:
+            continue
+        cosets = enumerate_cosets(q, n).cosets
+        assert cosets == tuple(CyclotomicCoset(q, n, r, s) for r, s in _enumerate_pairs(q, n))
+        assert all(c.elements is None for c in cosets)
+
+
+def test_orbit_walks_past_the_oracle_cap_fail_fast():
+    # the orbit of 1 mod 2**60 under 3 has 2**58 elements; the structured
+    # path is fast, but nothing may try to walk that orbit
+    n = 2**60
+    part = enumerate_cosets(3, n)
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        coset_of(3, n, 1)
+    with pytest.raises(CapacityError):
+        part.leader_map()
+    with pytest.raises(CapacityError):
+        CyclotomicCoset(3, n, 5, 2**58).materialize()
+    with pytest.raises(CapacityError):
+        part.validate()  # a visited byte per residue is 2**60 bytes
+    assert time.perf_counter() - t0 < 1.0
+    # short orbits above the cap are still walked
+    assert coset_of(3, n, 0).elements == (0,)
+    c = coset_of(2, 2**61 - 1, 1)
+    assert c.size == 61 and c.leader() == 1

@@ -15,7 +15,9 @@ from functools import lru_cache
 
 CAPACITY = 1 << 63
 TRIAL_LIMIT = 10**6
-# entries kept by each of the factorize and mul_order caches
+# entries kept by the mul_order cache, which nearly every call hits;
+# factorize is not cached, as such a cache saved no time on the benchmark
+# workloads and only raised peak memory
 CACHE_SIZE = 4096
 
 # Witnesses making Miller-Rabin deterministic for everything below 3.3e24,
@@ -31,6 +33,16 @@ def check_capacity(value: int, what: str = "modulus") -> None:
     # the value stays out of the message: a huge one cannot even be printed
     if value >= CAPACITY:
         raise CapacityError(f"{what} exceeds the 2**63 working range")
+
+
+def check_power(base: int, exp: int, cofactor: int, what: str) -> None:
+    """`check_capacity` of base**exp * cofactor, for base, cofactor >= 1.
+
+    The product is at least 2**(exp * (bits(base) - 1) + bits(cofactor) - 1),
+    so an exponent that is surely too large fails before base**exp is formed.
+    """
+    too_big = exp * (base.bit_length() - 1) + cofactor.bit_length() > 63
+    check_capacity(CAPACITY if too_big else base**exp * cofactor, what)
 
 
 def val(ell: int, x: int) -> int:
@@ -121,7 +133,6 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as ((p1, e1), ...) with p1 < p2 < ...
 
@@ -273,10 +284,7 @@ class PrimePowerQ:
             raise ValueError("exponent must be positive")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        # p**e >= 2**(e * (bits(p) - 1)): an exponent that is surely too
-        # large fails before p**e is formed
-        too_big = self.e * (self.p.bit_length() - 1) >= 63
-        check_capacity(CAPACITY if too_big else self.p**self.e, "q")
+        check_power(self.p, self.e, 1, "q")
 
     @property
     def q(self) -> int:

@@ -3,6 +3,8 @@
 Orbit walks here are the oracle for everything the structured machinery
 claims: `enumerate_naive` sweeps all of Z/nZ, `coset_of` materializes a
 single orbit, and `size_of` gives the orbit length without walking.
+`_orbit_mismatches` holds claimed (rep, size) pairs against the true
+orbits; `CosetPartition.validate` and `tower.verify` both rest on it.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ def _capped_orbit(q: int, n: int, start: int) -> list[int]:
 class CyclotomicCoset:
     """One orbit of multiplication by q on Z/nZ.
 
-    `rep` is whatever representative the constructing code supplied,
-    reduced to [0, n); it need not be the leader. `elements` is only
-    filled when the orbit was actually walked.
+    `rep` is whatever representative the constructing code supplied; it
+    is stored as given, so that code must supply one in [0, n). It need
+    not be the leader. `elements` is only filled when the orbit was
+    actually walked.
     """
 
     q: int
@@ -119,19 +122,20 @@ class CosetPartition:
         return {c.leader(): c.size for c in self.cosets}
 
     def validate(self) -> None:
-        """Check the partition axioms elementwise (O(n) memory, so n is
-        capped at ORACLE_CAP)."""
+        """Hold every (rep, size) against the true orbits with the sweep
+        `verify` uses, then check the sort; `elements` is not read. O(n)
+        memory, so n is capped at ORACLE_CAP."""
         if self.n > ORACLE_CAP:
             raise CapacityError(f"n exceeds the oracle cap {ORACLE_CAP}")
-        seen = bytearray(self.n)
-        for c in self.cosets:
-            for x in c.materialize():
-                if seen[x]:
-                    raise AssertionError(f"element {x} covered twice mod {self.n}")
-                seen[x] = 1
-        if self.total() != self.n:
-            raise AssertionError("sizes do not sum to n")
+        _require_coprime(self.q, self.n)
         reps = self.reps()
+        for rep in reps:
+            # a negative rep would index the visited bytes from the end
+            if not 0 <= rep < self.n:
+                raise AssertionError(f"rep {rep} lies outside [0, {self.n})")
+        mismatches = _orbit_mismatches(self.q, self.n, [(c.rep, c.size) for c in self.cosets])
+        if mismatches:
+            raise AssertionError(f"coset disagrees with the orbits mod {self.n}: {mismatches[0]}")
         if reps != sorted(reps):
             raise AssertionError("cosets are not sorted by representative")
 
@@ -193,6 +197,25 @@ def _orbit_sweep(q, n, starts=()):
             size += 1
         sizes.append(size)
     return reps, sizes
+
+
+def _orbit_mismatches(q, n, pairs) -> list[tuple]:
+    """Mismatches of (rep, size) pairs, reps in [0, n), against the true
+    orbits, as `tower.VerificationReport.mismatches` defines them.
+
+    One `_orbit_sweep` walks the orbit of each rep in the order given,
+    then the orbits no rep reached. A rep walked with 0 steps lies in an
+    earlier rep's orbit; leaders are only computed for mismatched reps.
+    """
+    reps, sizes = _orbit_sweep(q, n, [rep for rep, _ in pairs])
+    out = []
+    for (rep, claimed), size in zip(pairs, sizes):
+        if not size or size != claimed:
+            orbit = _orbit(q, n, rep)
+            out.append((min(orbit), rep, len(orbit), claimed))
+    k = len(pairs)
+    out += ((lead, None, size, None) for lead, size in zip(reps[k:], sizes[k:]))
+    return out
 
 
 def enumerate_naive(

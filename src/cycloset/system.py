@@ -19,8 +19,8 @@ from itertools import product
 from typing import NamedTuple
 
 from .arith import (
-    CAPACITY,
     check_capacity,
+    check_power,
     digits_value,
     is_prime,
     lte_two,
@@ -74,10 +74,7 @@ def _check_tower(ell: int, q: int, n: int, f: int) -> None:
     _check_inputs(ell, q, n)
     if n % ell == 0:
         raise ValueError("base modulus must be coprime to ell")
-    # ell**f * n >= 2**(f * (bits(ell) - 1) + bits(n) - 1): a depth that
-    # is surely too large fails before ell**f is formed
-    too_big = f * (ell.bit_length() - 1) + n.bit_length() > 63
-    check_capacity(CAPACITY if too_big else ell**f * n, "modulus ell**f * n")
+    check_power(ell, f, n, "modulus ell**f * n")
 
 
 def classify(ell: int, q: int, m: int, gamma: int) -> SplitKind:
@@ -128,10 +125,7 @@ def transversal_R(ell: int, q: int, tau: int) -> list[int]:
     Ascending; has (ell-1)/ord_ell(q**tau) entries. Requires that ell
     not divide q**tau - 1, so the subgroup is nontrivial.
     """
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if math.gcd(ell, q) != 1:
-        raise ValueError("ell must not divide q")
+    _check_inputs(ell, q, 1)
     b = pow(q, tau, ell)
     if b == 1:
         raise ValueError("ell divides q**tau - 1; no transversal in this regime")
@@ -435,14 +429,4 @@ def component_size(descriptor: BranchDescriptor, N: int) -> int:
     """Closed-form size of the descriptor's coset at depth N."""
     if not 0 <= N <= descriptor.components[-1][0]:
         raise ValueError(f"depth {N} outside the descriptor's range")
-    if descriptor.kind == PRINCIPAL:
-        return descriptor.tau
-    return _stable_size(
-        descriptor.ell,
-        descriptor.regime,
-        descriptor.tau,
-        descriptor.order_factor,
-        descriptor.v,
-        descriptor.m,
-        N,
-    )
+    return descriptor.components[N][2]

@@ -3,10 +3,10 @@ of Z/1Z through one prime-power tower per prime factor.
 
 `enumerate_cosets` never walks an orbit; every representative and size
 comes from the closed-form branch slices. `verify` runs the structured
-path first, then walks the true orbit of each of its representatives
-once and sweeps the residues left over, with one visited byte per
-residue. `splitting_tree` draws the one-step splits of every coset down
-an ell-power tower.
+path first, then holds its (rep, size) pairs against the true orbits
+with the oracle's one whole-ring check (`cosets._orbit_mismatches`).
+`splitting_tree` draws the one-step splits of every coset down an
+ell-power tower.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .arith import CapacityError, as_prime_power, check_capacity, factorize
-from .cosets import (
-    ORACLE_CAP,
-    CosetPartition,
-    CyclotomicCoset,
-    _orbit,
-    _orbit_sweep,
-)
+from .cosets import ORACLE_CAP, CosetPartition, CyclotomicCoset, _orbit_mismatches
 from .system import (
     SplitKind,
     _check_tower,
@@ -127,8 +121,9 @@ class VerificationReport:
     structured size) tuples, with None on the side that lacks the coset:
     first the structured cosets whose rep repeats an earlier coset's orbit
     or whose size is wrong, in partition order, then the orbits no rep
-    reached, ascending by leader. `structured_seconds` times
-    `enumerate_cosets`; `naive_seconds` times the oracle walk.
+    reached, ascending by leader (`cosets._orbit_mismatches`).
+    `structured_seconds` times `enumerate_cosets`; `naive_seconds` times
+    the oracle walk and comparison.
     """
 
     q: int
@@ -143,12 +138,9 @@ class VerificationReport:
 def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
     """Compare enumerate_cosets against the orbit oracle as partitions.
 
-    The structured path runs first. Then one sweep walks the true orbit
-    of each structured rep once, in partition order, and the residues
-    still unvisited after that (`cosets._orbit_sweep`). A rep walked
-    with 0 steps lies in an earlier rep's orbit, a step count other than
-    the claimed size is a wrong size, and each leftover orbit is one that
-    no rep reached. Leaders are only computed for mismatched reps.
+    The structured path runs first. Then `cosets._orbit_mismatches`
+    walks the true orbit of each structured rep once, in partition
+    order, and the residues still unvisited after that.
     """
     _check_qn(q, n)
     if n > oracle_cap:
@@ -158,18 +150,10 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
     part = enumerate_cosets(q, n)
     structured_seconds = time.perf_counter() - t0
 
-    cosets = part.cosets
+    pairs = [(c.rep, c.size) for c in part.cosets]
     t0 = time.perf_counter()
-    reps, sizes = _orbit_sweep(q, n, [c.rep for c in cosets])
+    mismatches = _orbit_mismatches(q, n, pairs)
     naive_seconds = time.perf_counter() - t0
-
-    mismatches = []
-    for c, size in zip(cosets, sizes):
-        if not size or size != c.size:
-            orbit = _orbit(q, n, c.rep)
-            mismatches.append((min(orbit), c.rep, len(orbit), c.size))
-    k = len(cosets)
-    mismatches += ((lead, None, size, None) for lead, size in zip(reps[k:], sizes[k:]))
     return VerificationReport(
         q,
         n,
@@ -177,7 +161,7 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
         tuple(mismatches),
         naive_seconds,
         structured_seconds,
-        k,
+        len(pairs),
     )
 
 

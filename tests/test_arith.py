@@ -23,6 +23,7 @@ from cycloset import (
     val,
     val_pow_minus_one,
 )
+from cycloset.arith import check_power
 
 
 def test_val_golden():
@@ -116,6 +117,19 @@ def test_prime_power_q_capacity_edges():
     for p, e in ((2, 63), (3, 40), (3, 10**7), (2**61 - 1, 2)):
         with pytest.raises(CapacityError, match="q exceeds the 2\\*\\*63 working range"):
             PrimePowerQ(p, e)
+
+
+def test_check_power_keeps_the_exact_bound():
+    # the bit-length pre-check may skip forming base**exp only when the
+    # product surely reaches 2**63
+    for base in (2, 3, 7, 127, 2**31 - 1):
+        for exp in range(70):
+            for cofactor in (1, 2, 3, 1000, 2**40 + 1):
+                if base**exp * cofactor < 2**63:
+                    check_power(base, exp, cofactor, "x")
+                else:
+                    with pytest.raises(CapacityError, match="^x exceeds the 2\\*\\*63 working range$"):
+                        check_power(base, exp, cofactor, "x")
 
 
 def test_carmichael():
@@ -295,9 +309,7 @@ def test_arith_caches_are_bounded():
     from cycloset.arith import CACHE_SIZE
 
     for n in range(3, 3 + 2 * CACHE_SIZE + 200, 2):  # distinct odd moduli
-        factorize(n)
         mul_order(2, n)
-    for cached in (factorize, mul_order):
-        info = cached.cache_info()
-        assert info.maxsize == CACHE_SIZE
-        assert info.currsize == CACHE_SIZE  # full, and no larger
+    info = mul_order.cache_info()
+    assert info.maxsize == CACHE_SIZE
+    assert info.currsize == CACHE_SIZE  # full, and no larger

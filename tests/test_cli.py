@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -357,3 +359,16 @@ def test_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+_DIGESTS = json.loads((Path(__file__).parent.parent / "bench" / "cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("workload", sorted(_DIGESTS["cases"]))
+def test_cli_output_matches_recorded_digest(capsys, workload, fmt):
+    # the benchmark holds every run of the CLI to these bytes; tier-1 does too
+    case = _DIGESTS["cases"][workload]
+    assert main(["enumerate", "--q", str(case["q"]), "--n", str(case["n"]), "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == case[fmt]

@@ -4,16 +4,19 @@ import inspect
 import math
 import pickle
 import random
+import re
 import time
 
 import pytest
 
 from cycloset import (
     CapacityError,
+    CosetPartition,
     CyclotomicCoset,
     coset_of,
     enumerate_cosets,
     enumerate_naive,
+    factorize,
     leader,
     project,
     size_of,
@@ -110,6 +113,43 @@ def test_enumerate_naive_partition_axioms():
         part = enumerate_naive(q, n, materialize=True)
         part.validate()
         assert part.total() == n
+        if len(factorize(q)) == 1:
+            enumerate_cosets(q, n).validate()
+
+
+def _partition(q, n, pairs, elements=None):
+    elements = elements or [None] * len(pairs)
+    return CosetPartition(
+        q, n, tuple(CyclotomicCoset(q, n, r, s, e) for (r, s), e in zip(pairs, elements))
+    )
+
+
+def test_validate_holds_each_coset_against_its_orbit():
+    # mod 16 under 5: {0} {1,5,9,13} {2,10} {3,7,11,15} {4} {6,14} {8} {12}
+    good = [(0, 1), (1, 4), (2, 2), (3, 4), (4, 1), (6, 2), (8, 1), (12, 1)]
+    _partition(5, 16, good).validate()
+    # sizes permuted, the total still 16
+    permuted = list(zip([r for r, _ in good], [1, 1, 2, 1, 4, 2, 4, 1]))
+    with pytest.raises(AssertionError, match=re.escape("(1, 1, 4, 1)")):
+        _partition(5, 16, permuted).validate()
+    # elements that partition Z/4 but are not orbits of 5 (5 = 1 mod 4
+    # fixes every residue): sizes are held against the true orbits
+    with pytest.raises(AssertionError, match=re.escape("(0, 0, 1, 2)")):
+        _partition(5, 4, [(0, 2), (1, 2)], [(0, 2), (1, 3)]).validate()
+    # a rep listed twice
+    with pytest.raises(AssertionError, match=re.escape("(1, 1, 4, 4)")):
+        _partition(5, 16, good[:2] + good[1:]).validate()
+    # reps outside [0, n), each still sorted and naming the right orbit
+    with pytest.raises(AssertionError, match=re.escape("rep -1 lies outside [0, 16)")):
+        _partition(5, 16, [(-1, 4)] + good[:3] + good[4:]).validate()
+    with pytest.raises(AssertionError, match=re.escape("rep 19 lies outside [0, 16)")):
+        _partition(5, 16, good[:3] + good[4:] + [(19, 4)]).validate()
+    # right orbits, wrong order
+    with pytest.raises(AssertionError, match="not sorted"):
+        _partition(5, 16, good[1:] + good[:1]).validate()
+    # q not coprime to n: x -> q*x is no permutation, so no walk may start
+    with pytest.raises(ValueError, match="must be 1"):
+        _partition(2, 4, [(0, 1), (1, 1)]).validate()
 
 
 def test_orbit_sweep_walks_starts_first():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -127,7 +128,7 @@ def test_verify_checks_arguments_before_sweep(monkeypatch):
         raise AssertionError("verify did work before the argument checks")
 
     monkeypatch.setattr(tower, "enumerate_cosets", no_work)
-    monkeypatch.setattr(tower, "_orbit_sweep", no_work)
+    monkeypatch.setattr(tower, "_orbit_mismatches", no_work)
     with pytest.raises(ValueError, match="6 is not a prime power"):
         verify(6, 9999991)
     with pytest.raises(ValueError, match="n must be positive"):
@@ -212,6 +213,13 @@ def test_verify_report_matches_leader_reference(monkeypatch):
         assert report.match is (expected == ())
         assert report.coset_count == len(part.cosets)
         mismatched += not report.match
+        # validate runs the same check and names the first mismatch; a
+        # rep moved within its own orbit can leave only the sort broken
+        if expected:
+            with pytest.raises(AssertionError, match=re.escape(str(expected[0]))):
+                part.validate()
+        elif part.reps() == sorted(part.reps()):
+            part.validate()
     assert mismatched > 100
 
 

@@ -2,9 +2,13 @@
 
 Orbit walks here are the oracle for everything the structured machinery
 claims: `enumerate_naive` sweeps all of Z/nZ, `coset_of` materializes a
-single orbit, and `size_of` gives the orbit length without walking.
+single orbit, `_orbit_leader` streams one orbit for its least element and
+length, and `size_of` gives the orbit length without walking.
 `_orbit_mismatches` holds claimed (rep, size) pairs against the true
 orbits; `CosetPartition.validate` and `tower.verify` both rest on it.
+Every walk needs gcd(q, n) = 1, since x -> q*x is no permutation of Z/nZ
+otherwise and a walk from x may never come back to x; each caller checks
+that before the first step.
 """
 
 from __future__ import annotations
@@ -36,12 +40,32 @@ def _orbit(q: int, n: int, start: int) -> list[int]:
     return out
 
 
-def _capped_orbit(q: int, n: int, start: int) -> list[int]:
-    """`_orbit`, refused before the walk when it would pass ORACLE_CAP
-    elements; only a modulus above the cap can have such an orbit."""
+def _orbit_leader(q: int, n: int, x: int) -> tuple[int, int]:
+    """(least element, length) of the orbit of x in [0, n), q coprime to n.
+
+    Steps x -> q*x mod n until it returns to x, keeping only a running
+    minimum and a count: no element list and no visited bytes.
+    """
+    if not 0 <= x < n:
+        raise ValueError(f"{x} lies outside [0, {n})")
+    lead = x
+    length = 1
+    y = x * q % n
+    while y != x:
+        if y < lead:
+            lead = y
+        y = y * q % n
+        length += 1
+    return lead, length
+
+
+def _check_walk(q: int, n: int, start: int) -> None:
+    """Refuse an orbit walk before its first step: `ValueError` unless q
+    is coprime to n, `CapacityError` when the orbit has more than
+    ORACLE_CAP elements (only a modulus above the cap can have one)."""
+    _require_coprime(q, n)
     if n > ORACLE_CAP and size_of(q, n, start) > ORACLE_CAP:
         raise CapacityError(f"orbit exceeds the oracle cap {ORACLE_CAP}")
-    return _orbit(q, n, start)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -81,11 +105,15 @@ class CyclotomicCoset:
     def materialize(self) -> tuple[int, ...]:
         if self.elements is not None:
             return self.elements
-        return tuple(_capped_orbit(self.q, self.n, self.rep))
+        _check_walk(self.q, self.n, self.rep)
+        return tuple(_orbit(self.q, self.n, self.rep))
 
     def leader(self) -> int:
-        """Smallest element of the orbit, walking it on demand."""
-        return min(self.materialize())
+        """Smallest element of the orbit, streamed from one walk on demand."""
+        if self.elements is not None:
+            return min(self.elements)
+        _check_walk(self.q, self.n, self.rep)
+        return _orbit_leader(self.q, self.n, self.rep % self.n)[0]
 
 
 # the slots' member descriptors, which set a field and bypass the frozen
@@ -122,17 +150,19 @@ class CosetPartition:
         return {c.leader(): c.size for c in self.cosets}
 
     def validate(self) -> None:
-        """Hold every (rep, size) against the true orbits with the sweep
-        `verify` uses, then check the sort; `elements` is not read. O(n)
-        memory, so n is capped at ORACLE_CAP."""
+        """Hold every (rep, size) against the true orbits with the check
+        `verify` uses, then check the sort; `elements` is not read. Each
+        coset must carry the partition's q and n. O(n) time, so n is
+        capped at ORACLE_CAP."""
         if self.n > ORACLE_CAP:
             raise CapacityError(f"n exceeds the oracle cap {ORACLE_CAP}")
         _require_coprime(self.q, self.n)
+        for c in self.cosets:
+            if c.q != self.q or c.n != self.n:
+                raise AssertionError(f"{c!r} is not a coset of q={self.q} mod {self.n}")
+            if not 0 <= c.rep < self.n:
+                raise AssertionError(f"rep {c.rep} lies outside [0, {self.n})")
         reps = self.reps()
-        for rep in reps:
-            # a negative rep would index the visited bytes from the end
-            if not 0 <= rep < self.n:
-                raise AssertionError(f"rep {rep} lies outside [0, {self.n})")
         mismatches = _orbit_mismatches(self.q, self.n, [(c.rep, c.size) for c in self.cosets])
         if mismatches:
             raise AssertionError(f"coset disagrees with the orbits mod {self.n}: {mismatches[0]}")
@@ -143,9 +173,8 @@ class CosetPartition:
 def coset_of(q: int, n: int, gamma: int) -> CyclotomicCoset:
     """The materialized orbit of gamma mod n under multiplication by q,
     refused (`CapacityError`) when it has more than ORACLE_CAP elements."""
-    _require_coprime(q, n)
-    check_capacity(n)
-    elems = _capped_orbit(q, n, gamma)
+    _check_walk(q, n, gamma)
+    elems = _orbit(q, n, gamma)
     return CyclotomicCoset(q, n, gamma % n, len(elems), tuple(elems))
 
 
@@ -162,6 +191,7 @@ def size_of(q: int, n: int, gamma: int) -> int:
 
 def project(coset: CyclotomicCoset, n_prime: int) -> CyclotomicCoset:
     """Image of a coset under reduction to a divisor modulus."""
+    _require_coprime(coset.q, coset.n)
     if n_prime < 1 or coset.n % n_prime != 0:
         raise ValueError(f"{n_prime} does not divide the modulus {coset.n}")
     return coset_of(coset.q, n_prime, coset.rep % n_prime)
@@ -183,7 +213,9 @@ def _orbit_sweep(q, n, starts=()):
     whose orbit an earlier start already walked gets size 0. Then every
     orbit that no start reached is walked from its least residue, in
     ascending order. reps is the starts followed by those leaders. Each
-    residue is stepped through with x -> q*x mod n exactly once.
+    residue is stepped through with x -> q*x mod n exactly once, at the
+    cost of one visited byte per residue. `enumerate_naive` and the
+    missed-orbit report of `_orbit_mismatches` use it.
     """
     visited = bytearray(n)
     reps: list[int] = []
@@ -203,18 +235,29 @@ def _orbit_mismatches(q, n, pairs) -> list[tuple]:
     """Mismatches of (rep, size) pairs, reps in [0, n), against the true
     orbits, as `tower.VerificationReport.mismatches` defines them.
 
-    One `_orbit_sweep` walks the orbit of each rep in the order given,
-    then the orbits no rep reached. A rep walked with 0 steps lies in an
-    earlier rep's orbit; leaders are only computed for mismatched reps.
+    `_orbit_leader` walks the orbit of each rep once, in the order given.
+    A rep whose leader an earlier rep already reached lies in that rep's
+    orbit. Distinct orbits are disjoint, so when the lengths of the
+    orbits reached add up to n, no orbit was missed; only when they fall
+    short does one `_orbit_sweep` find the missed orbits. Memory stays
+    O(number of pairs) unless an orbit was missed.
     """
-    reps, sizes = _orbit_sweep(q, n, [rep for rep, _ in pairs])
+    _require_coprime(q, n)
+    leaders: set[int] = set()
+    total = 0
     out = []
-    for (rep, claimed), size in zip(pairs, sizes):
-        if not size or size != claimed:
-            orbit = _orbit(q, n, rep)
-            out.append((min(orbit), rep, len(orbit), claimed))
-    k = len(pairs)
-    out += ((lead, None, size, None) for lead, size in zip(reps[k:], sizes[k:]))
+    for rep, claimed in pairs:
+        lead, length = _orbit_leader(q, n, rep)
+        seen = lead in leaders
+        if seen or length != claimed:
+            out.append((lead, rep, length, claimed))
+        if not seen:
+            leaders.add(lead)
+            total += length
+    if total < n:
+        reps, sizes = _orbit_sweep(q, n, leaders)
+        k = len(leaders)
+        out += ((lead, None, size, None) for lead, size in zip(reps[k:], sizes[k:]))
     return out
 
 

@@ -4,7 +4,7 @@ of Z/1Z through one prime-power tower per prime factor.
 `enumerate_cosets` never walks an orbit; every representative and size
 comes from the closed-form branch slices. `verify` runs the structured
 path first, then holds its (rep, size) pairs against the true orbits
-with the oracle's one whole-ring check (`cosets._orbit_mismatches`).
+with the oracle's one partition check (`cosets._orbit_mismatches`).
 `splitting_tree` draws the one-step splits of every coset down an
 ell-power tower.
 """
@@ -123,7 +123,8 @@ class VerificationReport:
     or whose size is wrong, in partition order, then the orbits no rep
     reached, ascending by leader (`cosets._orbit_mismatches`).
     `structured_seconds` times `enumerate_cosets`; `naive_seconds` times
-    the oracle walk and comparison.
+    the oracle walks and comparison, including the sweep for missed
+    orbits when there is one.
     """
 
     q: int
@@ -140,7 +141,9 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
 
     The structured path runs first. Then `cosets._orbit_mismatches`
     walks the true orbit of each structured rep once, in partition
-    order, and the residues still unvisited after that.
+    order, keeping only its leader and length. The residues are swept
+    for missed orbits only when the distinct orbits reached do not
+    cover all n; a matching partition costs nothing per residue.
     """
     _check_qn(q, n)
     if n > oracle_cap:

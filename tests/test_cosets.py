@@ -5,7 +5,9 @@ import math
 import pickle
 import random
 import re
+import signal
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,7 +23,7 @@ from cycloset import (
     project,
     size_of,
 )
-from cycloset.cosets import _orbit_sweep
+from cycloset.cosets import _orbit_leader, _orbit_mismatches, _orbit_sweep
 from cycloset.tower import _enumerate_pairs
 
 
@@ -150,6 +152,77 @@ def test_validate_holds_each_coset_against_its_orbit():
     # q not coprime to n: x -> q*x is no permutation, so no walk may start
     with pytest.raises(ValueError, match="must be 1"):
         _partition(2, 4, [(0, 1), (1, 1)]).validate()
+
+
+def test_validate_requires_the_partition_q_and_n():
+    good = enumerate_cosets(5, 16)
+    good.validate()
+    for q, n in ((3, 16), (5, 32)):
+        cosets = tuple(CyclotomicCoset(q, n, c.rep, c.size) for c in good.cosets)
+        with pytest.raises(AssertionError, match=re.escape(f"{cosets[0]!r} is not a coset of")):
+            CosetPartition(5, 16, cosets).validate()
+    # only the last coset is foreign: it is the one named
+    last = good.cosets[-1]
+    stray = CyclotomicCoset(3, 16, last.rep, last.size)
+    with pytest.raises(AssertionError, match=re.escape(repr(stray))):
+        CosetPartition(5, 16, good.cosets[:-1] + (stray,)).validate()
+
+
+@contextmanager
+def _deadline(seconds):
+    """Turn a walk that never ends into a failure instead of a hung run."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("needs signal.setitimer")
+
+    def fire(signum, frame):
+        raise TimeoutError(f"still walking after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_walks_refuse_a_q_sharing_a_factor_with_n():
+    # x -> 2x mod 4 sends 1 to 2 to 0 to 0: the walk from 1 never returns
+    c = CyclotomicCoset(2, 4, 1, 1)
+    calls = [c.leader, c.materialize, lambda: project(c, 4), lambda: project(c, 1)]
+    calls += [lambda: _orbit_mismatches(2, 4, [(0, 1), (1, 1)])]
+    calls += [lambda: CosetPartition(2, 4, (c,)).leader_map()]
+    with _deadline(5):
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape("gcd(q=2, n=4) must be 1")):
+                call()
+
+
+def test_orbit_leader_refuses_a_start_outside_the_ring():
+    # y stays in [0, n), so a walk from outside it would never return
+    with _deadline(5):
+        for x in (-1, 16, 21):
+            with pytest.raises(ValueError, match=re.escape(f"{x} lies outside [0, 16)")):
+                _orbit_leader(5, 16, x)
+        with pytest.raises(ValueError, match=re.escape("19 lies outside [0, 16)")):
+            _orbit_mismatches(5, 16, [(0, 1), (19, 4)])
+
+
+def test_orbit_leader_streams_the_least_element_and_length():
+    # mod 16 under 5: {0} {1,5,9,13} {2,10} {3,7,11,15} {4} {6,14} {8} {12}
+    assert [_orbit_leader(5, 16, x) for x in (0, 13, 10, 15, 4)] == [
+        (0, 1), (1, 4), (2, 2), (3, 4), (4, 1),
+    ]
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(1, 3000)
+        q = rng.randrange(2, 50)
+        if math.gcd(q, n) != 1:
+            continue
+        x = rng.randrange(n)
+        orbit = coset_of(q, n, x).elements
+        assert _orbit_leader(q, n, x) == (min(orbit), len(orbit))
+        assert CyclotomicCoset(q, n, x, len(orbit)).leader() == min(orbit)
 
 
 def test_orbit_sweep_walks_starts_first():

@@ -19,7 +19,7 @@ from cycloset import (
     project,
     verify,
 )
-from cycloset.cosets import _orbit
+from cycloset.cosets import _orbit, _orbit_mismatches, _orbit_sweep
 
 
 def _seed(q):
@@ -190,6 +190,53 @@ def _corrupt(part, kind, i, rng):
     return CosetPartition(q, n, tuple(cosets))
 
 
+def _sweep_mismatches(q, n, pairs):
+    """`cosets._orbit_mismatches` as it was before the streaming walk:
+    one visited byte per residue, a rep walked with 0 steps lies in an
+    earlier rep's orbit, and the sweep then walks the orbits no rep
+    reached."""
+    reps, sizes = _orbit_sweep(q, n, [rep for rep, _ in pairs])
+    out = []
+    for (rep, claimed), size in zip(pairs, sizes):
+        if not size or size != claimed:
+            orbit = _orbit(q, n, rep)
+            out.append((min(orbit), rep, len(orbit), claimed))
+    k = len(pairs)
+    out += ((lead, None, size, None) for lead, size in zip(reps[k:], sizes[k:]))
+    return out
+
+
+def test_orbit_mismatches_match_the_sweep_reference():
+    rng = random.Random(9)
+    qs = [q for q in range(2, 50) if len(factorize(q)) == 1]
+    seen_kinds = set()
+    mismatched = 0
+    for _ in range(600):
+        q, n = rng.choice(qs), rng.randrange(1, 3000)
+        if math.gcd(q, n) != 1:
+            continue
+        part = enumerate_cosets(q, n)
+        pairs = [(c.rep, c.size) for c in part.cosets]
+        kind = rng.randrange(-1, 7)
+        i = rng.randrange(len(pairs))
+        if kind in (SIZE_UP, DROPPED, MOVED, RANDOM_REP):
+            pairs = [(c.rep, c.size) for c in _corrupt(part, kind, i, rng).cosets]
+        elif kind == 4:  # a rep listed twice
+            pairs.insert(rng.randrange(len(pairs) + 1), pairs[i])
+        elif kind == 5:  # a claimed size of 0
+            pairs[i] = (pairs[i][0], 0)
+        elif kind == 6:  # two cosets dropped
+            del pairs[i]
+            if pairs:
+                del pairs[rng.randrange(len(pairs))]
+        seen_kinds.add(kind)
+        expected = _sweep_mismatches(q, n, pairs)
+        assert _orbit_mismatches(q, n, pairs) == expected, (q, n, kind)
+        mismatched += bool(expected)
+    assert seen_kinds == set(range(-1, 7))
+    assert mismatched > 300
+
+
 def _verify_with(monkeypatch, part):
     monkeypatch.setattr(tower, "enumerate_cosets", lambda q, n: part)
     return verify(part.q, part.n)
@@ -264,8 +311,9 @@ def test_verify_pins_each_mismatch_kind(monkeypatch):
 
 
 def test_verify_memory_is_one_byte_per_residue():
-    # the oracle keeps one visited byte per residue and no per-residue
-    # leader label (8 bytes each); the rest is the structured partition
+    # the oracle keeps no per-residue leader label (8 bytes each): it
+    # streams each orbit, and only a missed orbit would cost one visited
+    # byte per residue; the rest is the structured partition
     n = 2**5 * 3**5 * 7
     verify(5, n)  # warm caches
     tracemalloc.start()
@@ -275,6 +323,20 @@ def test_verify_memory_is_one_byte_per_residue():
     finally:
         tracemalloc.stop()
     assert peak < 2 * n + 48 * 1024, peak
+
+
+def test_verify_memory_is_independent_of_n():
+    # 2 is a primitive root mod 3**k, so 3**12 has only 13 cosets: a
+    # matching verify keeps a leader and a length per coset, nothing per
+    # residue (a visited byte per residue alone would be 531,441 B)
+    verify(2, 3**12)  # warm caches
+    tracemalloc.start()
+    try:
+        assert verify(2, 3**12).match
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024, peak
 
 
 def test_structured_path_is_fast():

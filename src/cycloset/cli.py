@@ -13,7 +13,7 @@ import sys
 from operator import itemgetter
 
 from .arith import PrimePowerQ, phi_prefix
-from .cosets import ORACLE_CAP, CosetPartition, CyclotomicCoset
+from .cosets import ORACLE_CAP, CosetPartition, CyclotomicCoset, _check_total_walk
 from .tower import _enumerate_pairs, enumerate_cosets, splitting_tree, verify
 
 _JSON_INT_MAX = 2**53
@@ -26,7 +26,8 @@ def _jtext(v: int) -> str:
 
 
 def _leader_rows(part: CosetPartition) -> list[tuple[int, int, int]]:
-    return sorted(((c.rep, c.size, c.leader()) for c in part.cosets), key=itemgetter(2))
+    rows = zip(part.reps(), (c.size for c in part.cosets), part._leaders())
+    return sorted(rows, key=itemgetter(2))
 
 
 def _render(fmt: str, q: int, n: int, rows: list[tuple[int, ...]], with_leaders: bool) -> str:
@@ -93,6 +94,7 @@ def _resolve_q(args) -> int:
 def cmd_enumerate(args) -> int:
     q = _resolve_q(args)
     if args.with_leaders:
+        _check_total_walk(args.n)
         rows = _leader_rows(enumerate_cosets(q, args.n))
     else:
         rows = _enumerate_pairs(q, args.n)

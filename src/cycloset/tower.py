@@ -123,8 +123,8 @@ class VerificationReport:
     or whose size is wrong, in partition order, then the orbits no rep
     reached, ascending by leader (`cosets._orbit_mismatches`).
     `structured_seconds` times `enumerate_cosets`; `naive_seconds` times
-    the oracle walks and comparison, including the sweep for missed
-    orbits when there is one.
+    the oracle's order certificates, walks and comparison, including the
+    sweep for missed orbits when there is one.
     """
 
     q: int
@@ -141,7 +141,10 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
 
     The structured path runs first. Then `cosets._orbit_mismatches`
     walks the true orbit of each structured rep once, in partition
-    order, keeping only its leader and length. The residues are swept
+    order, keeping only its leader and length. Where q has exact order
+    equal to the claimed size (modulo n/gcd(rep, n), checked with `pow`
+    alone), that walk is a counted loop of exactly that many steps;
+    otherwise it walks until the orbit returns. The residues are swept
     for missed orbits only when the distinct orbits reached do not
     cover all n; a matching partition costs nothing per residue.
     """

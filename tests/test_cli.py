@@ -254,6 +254,17 @@ def test_with_leaders_past_the_oracle_cap_fails_fast(capsys):
         partition_to_json(enumerate_cosets(3, 2**60), with_leaders=True)
 
 
+def test_with_leaders_past_the_oracle_cap_is_refused_before_enumerating(capsys):
+    # every orbit of 3 mod 11 * 909091 is short, but leaders would walk all
+    # n residues, and enumerating first would scan Z/909091
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--q", "3", "--n", "10000001", "--with-leaders")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "oracle cap" in err
+
+
 def test_tree_arities_two_adic(capsys):
     code, out, _ = run(capsys, "tree", "--ell", "2", "--q", "5", "--n", "243", "--depth", "3")
     assert code == 0

@@ -23,7 +23,8 @@ from cycloset import (
     project,
     size_of,
 )
-from cycloset.cosets import _orbit_leader, _orbit_mismatches, _orbit_sweep
+import cycloset.cosets as cosets
+from cycloset.cosets import ORACLE_CAP, _orbit_leader, _orbit_mismatches, _orbit_sweep
 from cycloset.tower import _enumerate_pairs
 
 
@@ -223,6 +224,52 @@ def test_orbit_leader_streams_the_least_element_and_length():
         orbit = coset_of(q, n, x).elements
         assert _orbit_leader(q, n, x) == (min(orbit), len(orbit))
         assert CyclotomicCoset(q, n, x, len(orbit)).leader() == min(orbit)
+
+
+def test_claimed_sizes_certify_only_the_exact_orbit_length():
+    # mod 7 under 2: {0} {1,2,4} {3,5,6}; 2**6 = 1 but so does 2**3, so a
+    # claim of 6 for a 3-element orbit is no exact order and is walked open
+    assert _orbit_mismatches(2, 7, [(0, 1), (1, 6), (3, 3)]) == [(1, 1, 3, 6)]
+    assert _orbit_mismatches(2, 7, [(0, 1), (1, 2), (3, 3)]) == [(1, 1, 3, 2)]
+    assert _orbit_mismatches(2, 7, [(0, 1), (1, 3), (5, 6)]) == [(3, 5, 3, 6)]
+    assert CyclotomicCoset(2, 7, 1, 6).leader() == 1
+    # a claim of 0, one above n, and a claim of 2 for the fixed point 0
+    assert _orbit_mismatches(2, 7, [(0, 0), (1, 3), (3, 3)]) == [(0, 0, 1, 0)]
+    assert _orbit_mismatches(2, 7, [(0, 1), (1, 8), (3, 3)]) == [(1, 1, 3, 8)]
+    assert _orbit_mismatches(2, 7, [(0, 2), (1, 3), (3, 3)]) == [(0, 0, 1, 2)]
+    assert [_orbit_leader(2, 7, x, c) for x, c in ((0, 2), (6, 0), (5, 9), (5, 6), (3, 1))] == [
+        (0, 1), (3, 3), (3, 3), (3, 3), (3, 3),
+    ]
+    assert [CyclotomicCoset(2, 7, x, c).leader() for x, c in ((0, 2), (6, 0), (5, 9))] == [0, 3, 3]
+
+
+def test_a_certified_claim_is_walked_without_the_open_walk(monkeypatch):
+    def no_open_walk(q, n, x):
+        raise AssertionError(f"open walk of {x} mod {n}")
+
+    monkeypatch.setattr(cosets, "_open_walk", no_open_walk)
+    assert [_orbit_leader(5, 16, x, c) for x, c in ((0, 1), (13, 4), (10, 2), (15, 4))] == [
+        (0, 1), (1, 4), (2, 2), (3, 4),
+    ]
+    assert CyclotomicCoset(5, 3888, 2673, 4).leader() == 729
+    with pytest.raises(AssertionError, match="open walk of 1 mod 7"):
+        _orbit_leader(2, 7, 1, 6)
+
+
+def test_leader_map_refuses_past_the_oracle_cap_before_any_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(cosets, "_orbit_leader", no_walk)
+    # every orbit here is short (61 elements at most), but there are
+    # n = 2**61 - 1 residues to walk in all
+    n = 2**61 - 1
+    part = CosetPartition(2, n, (CyclotomicCoset(2, n, 0, 1), CyclotomicCoset(2, n, 1, 61)))
+    with pytest.raises(CapacityError, match="oracle cap"):
+        part.leader_map()
+    cap = CosetPartition(2, ORACLE_CAP + 1, (CyclotomicCoset(2, ORACLE_CAP + 1, 0, 1),))
+    with pytest.raises(CapacityError, match="oracle cap"):
+        cap.leader_map()
 
 
 def test_orbit_sweep_walks_starts_first():

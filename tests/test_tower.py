@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import cycloset.cosets as cosets
 import cycloset.tower as tower
 from cycloset import (
     CapacityError,
@@ -217,7 +218,7 @@ def test_orbit_mismatches_match_the_sweep_reference():
             continue
         part = enumerate_cosets(q, n)
         pairs = [(c.rep, c.size) for c in part.cosets]
-        kind = rng.randrange(-1, 7)
+        kind = rng.randrange(-1, 9)
         i = rng.randrange(len(pairs))
         if kind in (SIZE_UP, DROPPED, MOVED, RANDOM_REP):
             pairs = [(c.rep, c.size) for c in _corrupt(part, kind, i, rng).cosets]
@@ -229,12 +230,41 @@ def test_orbit_mismatches_match_the_sweep_reference():
             del pairs[i]
             if pairs:
                 del pairs[rng.randrange(len(pairs))]
+        elif kind == 7:  # a proper multiple of the size: q**size is still 1
+            pairs[i] = (pairs[i][0], pairs[i][1] * rng.choice((2, 3)))
+        elif kind == 8:  # the size over one of its prime factors, if it has one
+            rep, size = pairs[i]
+            if size > 1:
+                pairs[i] = (rep, size // rng.choice(factorize(size))[0])
         seen_kinds.add(kind)
         expected = _sweep_mismatches(q, n, pairs)
         assert _orbit_mismatches(q, n, pairs) == expected, (q, n, kind)
         mismatched += bool(expected)
-    assert seen_kinds == set(range(-1, 7))
+    assert seen_kinds == set(range(-1, 9))
     assert mismatched > 300
+
+
+def test_a_correct_partition_never_takes_the_open_walk(monkeypatch):
+    # every claimed size of a correct partition is certified as the exact
+    # order, so each orbit is walked by the counted loop alone
+    def no_open_walk(q, n, x):
+        raise AssertionError(f"open walk of {x} mod {n} under {q}")
+
+    monkeypatch.setattr(cosets, "_open_walk", no_open_walk)
+    assert verify(5, 3888).match
+    rng = random.Random(12)
+    qs = [q for q in range(2, 50) if len(factorize(q)) == 1]
+    checked = 0
+    for _ in range(300):
+        q, n = rng.choice(qs), rng.randrange(1, 3000)
+        if math.gcd(q, n) != 1:
+            continue
+        part = enumerate_cosets(q, n)
+        assert verify(q, n).match, (q, n)
+        part.validate()
+        assert part.leader_map() == enumerate_naive(q, n).leader_map(), (q, n)
+        checked += 1
+    assert checked > 150
 
 
 def _verify_with(monkeypatch, part):

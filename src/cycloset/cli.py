@@ -26,8 +26,8 @@ def _jtext(v: int) -> str:
 
 
 def _leader_rows(part: CosetPartition) -> list[tuple[int, int, int]]:
-    rows = zip(part.reps(), (c.size for c in part.cosets), part._leaders())
-    return sorted(rows, key=itemgetter(2))
+    _check_total_walk(part.n)
+    return sorted(((c.rep, c.size, c.leader()) for c in part.cosets), key=itemgetter(2))
 
 
 def _render(fmt: str, q: int, n: int, rows: list[tuple[int, ...]], with_leaders: bool) -> str:
@@ -116,25 +116,27 @@ def cmd_verify(args) -> int:
     if args.n is not None and args.n_max is not None:
         raise ValueError("give either --n or --n-max, not both")
     if args.n_max is not None:
-        checked = 0
-        for n in range(1, args.n_max + 1):
-            if math.gcd(q, n) != 1:
-                continue
-            rep = verify(q, n, oracle_cap=args.oracle_cap)
-            checked += 1
-            if not rep.match:
-                print(_report_line(rep))
-                print(f"first divergence: {rep.mismatches[0]}", file=sys.stderr)
-                return 1
-        print(f"verified q={q} for {checked} moduli up to {args.n_max}: all match")
-        return 0
-    if args.n is None:
+        if args.n_max < 1:
+            raise ValueError("--n-max must be at least 1")
+        # q is a prime power, so the last coprime n is n_max or n_max - 1;
+        # past the cap it is refused before any smaller n is verified
+        _check_total_walk(args.n_max - (math.gcd(q, args.n_max) != 1), args.oracle_cap)
+        moduli = (n for n in range(1, args.n_max + 1) if math.gcd(q, n) == 1)
+    elif args.n is None:
         raise ValueError("one of --n or --n-max is required")
-    rep = verify(q, args.n, oracle_cap=args.oracle_cap)
-    print(_report_line(rep))
-    if not rep.match:
-        print(f"first divergence: {rep.mismatches[0]}", file=sys.stderr)
-        return 1
+    else:
+        moduli = (args.n,)
+    checked = 0
+    for n in moduli:
+        rep = verify(q, n, oracle_cap=args.oracle_cap)
+        checked += 1
+        if args.n_max is None or not rep.match:
+            print(_report_line(rep))
+        if not rep.match:
+            print(f"first divergence: {rep.mismatches[0]}", file=sys.stderr)
+            return 1
+    if args.n_max is not None:
+        print(f"verified q={q} for {checked} moduli up to {args.n_max}: all match")
     return 0
 
 

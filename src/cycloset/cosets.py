@@ -8,8 +8,9 @@ length, and `size_of` gives the orbit length without walking.
 orbits; `CosetPartition.validate` and `tower.verify` both rest on it.
 Given a claimed length, `_orbit_leader` first certifies it with
 `_exact_order` (a few `pow`s and the factorization of the claim, never
-`mul_order`): a certified claim is the true length, so the walk is a
-counted loop with no return test; any other claim gets the open walk.
+`mul_order`, cached like `mul_order`): a certified claim is the true
+length, so the walk is a counted loop with no return test; any other
+claim gets the open walk.
 Every walk needs gcd(q, n) = 1, since x -> q*x is no permutation of Z/nZ
 otherwise and a walk from x may never come back to x; each caller checks
 that before the first step.
@@ -20,9 +21,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import chain, repeat
 
-from .arith import CapacityError, check_capacity, factorize, mul_order
+from .arith import CACHE_SIZE, CapacityError, check_capacity, factorize, mul_order
 
 ORACLE_CAP = 10**7
 
@@ -44,28 +46,19 @@ def _orbit(q: int, n: int, start: int) -> list[int]:
     return out
 
 
-def _orbit_leader(
-    q: int, n: int, x: int, claimed: int = 0, certs: dict | None = None
-) -> tuple[int, int]:
+def _orbit_leader(q: int, n: int, x: int, claimed: int = 0) -> tuple[int, int]:
     """(least element, length) of the orbit of x in [0, n), q coprime to n.
 
-    The orbit of x has length ord(q) modulo m = n/gcd(x, n). When q has
-    order exactly `claimed` modulo m (`_exact_order`), the walk takes
-    exactly that many steps with no return test and no counter. Any other
-    claim, the default 0 included, takes the open walk (`_open_walk`).
-    Either way only a running minimum is kept: no element list and no
-    visited bytes. `certs` memoizes `_exact_order` by (m, claimed) across
-    the calls of one caller.
+    The orbit of x has length ord(q) modulo m = n/gcd(x, n). When the
+    claim is an int and q has order exactly `claimed` modulo m
+    (`_exact_order`), the walk takes exactly that many steps with no
+    return test and no counter. Any other claim, the default 0 included,
+    takes the open walk (`_open_walk`). Either way only a running minimum
+    is kept: no element list and no visited bytes.
     """
     if not 0 <= x < n:
         raise ValueError(f"{x} lies outside [0, {n})")
-    if certs is None:
-        certs = {}
-    key = (n // math.gcd(x, n), claimed)
-    exact = certs.get(key)
-    if exact is None:
-        exact = certs[key] = _exact_order(q, *key)
-    if not exact:
+    if type(claimed) is not int or not _exact_order(q, n // math.gcd(x, n), claimed):
         return _open_walk(q, n, x)
     lead = y = x
     for _ in repeat(None, claimed - 1):
@@ -75,13 +68,15 @@ def _orbit_leader(
     return lead, claimed
 
 
-def _exact_order(q: int, m: int, c) -> bool:
+@lru_cache(maxsize=CACHE_SIZE)
+def _exact_order(q: int, m: int, c: int) -> bool:
     """Whether q has multiplicative order exactly c modulo m: q**c = 1,
     and q**(c/r) != 1 for each prime r dividing c. Uses only `pow` and the
     factorization of c, never `mul_order`, so it stays independent of the
     structured path. An order modulo m never exceeds m, so a larger
-    claim, or one that is no positive int, fails without factoring."""
-    if type(c) is not int or not 0 < c <= m:
+    claim, or one below 1, fails without factoring. A correct partition
+    has few distinct (m, c), so the answers are cached across calls."""
+    if not 0 < c <= m:
         return False
     one = 1 % m
     return pow(q, c, m) == one and all(pow(q, c // r, m) != one for r, _ in factorize(c))
@@ -110,11 +105,13 @@ def _check_walk(q: int, n: int, start: int) -> None:
         raise CapacityError(f"orbit exceeds the oracle cap {ORACLE_CAP}")
 
 
-def _check_total_walk(n: int) -> None:
+def _check_total_walk(n: int, cap: int = ORACLE_CAP) -> None:
     """Refuse, before the first step, to walk every orbit mod n: that is
-    n steps in all, however short each orbit is."""
-    if n > ORACLE_CAP:
-        raise CapacityError(f"n exceeds the oracle cap {ORACLE_CAP}")
+    n steps in all, however short each orbit is. The one test of n
+    against an oracle cap; the message leaves n out, as `check_capacity`
+    does."""
+    if n > cap:
+        raise CapacityError(f"n exceeds the oracle cap {cap}")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -160,13 +157,10 @@ class CyclotomicCoset:
     def leader(self) -> int:
         """Smallest element of the orbit, streamed from one walk on demand;
         the walk is counted when `size` is certified (`_orbit_leader`)."""
-        return self._leader(None)
-
-    def _leader(self, certs: dict | None) -> int:
         if self.elements is not None:
             return min(self.elements)
         _check_walk(self.q, self.n, self.rep)
-        return _orbit_leader(self.q, self.n, self.rep % self.n, self.size, certs)[0]
+        return _orbit_leader(self.q, self.n, self.rep % self.n, self.size)[0]
 
 
 # the slots' member descriptors, which set a field and bypass the frozen
@@ -198,17 +192,10 @@ class CosetPartition:
         return [c.rep for c in self.cosets]
 
     def leader_map(self) -> dict[int, int]:
-        """leader -> size for every coset (walks each orbit once, so
-        `CapacityError` past ORACLE_CAP)."""
-        return dict(zip(self._leaders(), (c.size for c in self.cosets)))
-
-    def _leaders(self) -> list[int]:
-        """The leader of every coset, in partition order, with one
-        certificate memo for all the walks. They take n steps in all, so
-        n is capped at ORACLE_CAP before the first one."""
+        """leader -> size for every coset. The walks take n steps in all,
+        so n is capped at ORACLE_CAP before the first one."""
         _check_total_walk(self.n)
-        certs: dict = {}
-        return [c._leader(certs) for c in self.cosets]
+        return {c.leader(): c.size for c in self.cosets}
 
     def validate(self) -> None:
         """Hold every (rep, size) against the true orbits with the check
@@ -297,9 +284,8 @@ def _orbit_mismatches(q, n, pairs) -> list[tuple]:
 
     `_orbit_leader` walks the orbit of each rep once, in the order given.
     A claimed size that q's exact order certifies is walked as a counted
-    loop; the certificates are memoized by (n/gcd(rep, n), size) for this
-    call only, and a correct partition has only a few distinct keys. Any
-    other claim is walked open, so its true length is what gets reported.
+    loop; any other claim is walked open, so its true length is what gets
+    reported.
     A rep whose leader an earlier rep already reached lies in that rep's
     orbit. Distinct orbits are disjoint, so when the lengths of the
     orbits reached add up to n, no orbit was missed; only when they fall
@@ -308,11 +294,10 @@ def _orbit_mismatches(q, n, pairs) -> list[tuple]:
     """
     _require_coprime(q, n)
     leaders: set[int] = set()
-    certs: dict = {}
     total = 0
     out = []
     for rep, claimed in pairs:
-        lead, length = _orbit_leader(q, n, rep, claimed, certs)
+        lead, length = _orbit_leader(q, n, rep, claimed)
         seen = lead in leaders
         if seen or length != claimed:
             out.append((lead, rep, length, claimed))
@@ -336,8 +321,7 @@ def enumerate_naive(
     """
     _require_coprime(q, n)
     check_capacity(n)
-    if n > cap:
-        raise CapacityError(f"n = {n} exceeds the oracle cap {cap}")
+    _check_total_walk(n, cap)
     reps, sizes = _orbit_sweep(q, n)
     cosets = tuple(
         CyclotomicCoset(q, n, r, s, tuple(_orbit(q, n, r)) if materialize else None)

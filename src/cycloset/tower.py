@@ -16,8 +16,9 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .arith import CapacityError, as_prime_power, check_capacity, factorize
-from .cosets import ORACLE_CAP, CosetPartition, CyclotomicCoset, _orbit_mismatches
+from .arith import as_prime_power, check_capacity, factorize
+from .cosets import ORACLE_CAP, CosetPartition, CyclotomicCoset, _check_total_walk
+from .cosets import _orbit_mismatches
 from .system import (
     SplitKind,
     _check_tower,
@@ -123,8 +124,8 @@ class VerificationReport:
     or whose size is wrong, in partition order, then the orbits no rep
     reached, ascending by leader (`cosets._orbit_mismatches`).
     `structured_seconds` times `enumerate_cosets`; `naive_seconds` times
-    the oracle's order certificates, walks and comparison, including the
-    sweep for missed orbits when there is one.
+    the oracle's walks and comparison, including the order certificates
+    not already cached and the sweep for missed orbits when there is one.
     """
 
     q: int
@@ -143,14 +144,15 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
     walks the true orbit of each structured rep once, in partition
     order, keeping only its leader and length. Where q has exact order
     equal to the claimed size (modulo n/gcd(rep, n), checked with `pow`
-    alone), that walk is a counted loop of exactly that many steps;
-    otherwise it walks until the orbit returns. The residues are swept
-    for missed orbits only when the distinct orbits reached do not
-    cover all n; a matching partition costs nothing per residue.
+    alone and cached across calls), that walk is a counted loop of
+    exactly that many steps; otherwise it walks until the orbit returns.
+    The residues are swept for missed orbits only when the distinct
+    orbits reached do not cover all n; a matching partition costs
+    nothing per residue. n above `oracle_cap` is refused before either
+    path runs.
     """
     _check_qn(q, n)
-    if n > oracle_cap:
-        raise CapacityError(f"n = {n} exceeds the oracle cap {oracle_cap}")
+    _check_total_walk(n, oracle_cap)
 
     t0 = time.perf_counter()
     part = enumerate_cosets(q, n)

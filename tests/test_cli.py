@@ -182,6 +182,61 @@ def test_verify_n_and_n_max_conflict(capsys):
     assert err == "error: give either --n or --n-max, not both\n"
 
 
+def test_verify_n_max_below_one_is_refused(capsys):
+    for n_max in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--q", "5", "--n-max", n_max)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n-max must be at least 1\n"
+
+
+def test_verify_n_max_past_the_oracle_cap_is_refused_before_any_verify(capsys, monkeypatch):
+    import cycloset.cli as cli_mod
+
+    def no_verify(q, n, oracle_cap):
+        raise AssertionError(f"verified n={n}")
+
+    monkeypatch.setattr(cli_mod, "verify", no_verify)
+    t0 = time.perf_counter()
+    # 101 is the last n coprime to 2 up to 102, and it lies past a cap of 100
+    for q, n_max, cap in (("5", "20000000", "10000000"), ("2", "102", "100"), ("2", "101", "100")):
+        code, out, err = run(capsys, "verify", "--q", q, "--n-max", n_max, "--oracle-cap", cap)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n exceeds the oracle cap {cap}\n"
+    code, _, err = run(capsys, "verify", "--q", "5", "--n-max", "20000000")
+    assert code == 2
+    assert err == "error: n exceeds the oracle cap 10000000\n"
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_n_max_stops_at_the_last_coprime_n(capsys):
+    # 102 is even, so q=2 verifies up to 101, within the cap
+    code, out, err = run(capsys, "verify", "--q", "2", "--n-max", "102", "--oracle-cap", "101")
+    assert code == 0
+    assert out == "verified q=2 for 51 moduli up to 102: all match\n"
+    assert err == ""
+
+
+def test_verify_n_max_mismatch_reports_once(capsys, monkeypatch):
+    import cycloset.cli as cli_mod
+
+    class FakeReport:
+        q, coset_count = 5, 8
+        mismatches = ((0, 1, 1, 2),)
+        naive_seconds = structured_seconds = 0.0
+
+        def __init__(self, n):
+            self.n = n
+            self.match = n < 4
+
+    monkeypatch.setattr(cli_mod, "verify", lambda q, n, oracle_cap: FakeReport(n))
+    code, out, err = run(capsys, "verify", "--q", "5", "--n-max", "9")
+    assert code == 1
+    assert out.splitlines() == [cli_mod._report_line(FakeReport(4))]
+    assert err == "first divergence: (0, 1, 1, 2)\n"
+
+
 def test_verify_bad_input(capsys):
     code, _, err = run(capsys, "verify", "--q", "4", "--n", "6")
     assert code == 2

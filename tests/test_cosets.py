@@ -24,6 +24,7 @@ from cycloset import (
     size_of,
 )
 import cycloset.cosets as cosets
+from cycloset.arith import CACHE_SIZE
 from cycloset.cosets import ORACLE_CAP, _orbit_leader, _orbit_mismatches, _orbit_sweep
 from cycloset.tower import _enumerate_pairs
 
@@ -241,6 +242,26 @@ def test_claimed_sizes_certify_only_the_exact_orbit_length():
         (0, 1), (3, 3), (3, 3), (3, 3), (3, 3),
     ]
     assert [CyclotomicCoset(2, 7, x, c).leader() for x, c in ((0, 2), (6, 0), (5, 9))] == [0, 3, 3]
+
+
+def test_claims_that_are_no_int_are_walked_open():
+    # 3.0 == 3 and hashes alike, and [3] cannot be hashed: neither may
+    # reach the certificate, and each is reported by its true length
+    part = _partition(2, 7, [(0, 1), (1, 3), (3, 3.0)])
+    assert _orbit_mismatches(2, 7, [(0, 1), (1, 3), (3, 3.0)]) == []
+    part.validate()
+    assert part.leader_map() == {0: 1, 1: 3, 3: 3.0}
+    assert CyclotomicCoset(2, 7, 1, [3]).leader() == 1
+    assert _orbit_mismatches(2, 7, [(0, 1), (1, [3]), (3, 3)]) == [(1, 1, 3, [3])]
+    assert _orbit_leader(2, 7, 1, True) == (1, 3)
+
+
+def test_order_certificate_cache_is_bounded():
+    for m in range(3, 3 + 2 * CACHE_SIZE + 200, 2):  # distinct odd moduli
+        cosets._exact_order(2, m, 1)
+    info = cosets._exact_order.cache_info()
+    assert info.maxsize == CACHE_SIZE
+    assert info.currsize == CACHE_SIZE  # full, and no larger
 
 
 def test_a_certified_claim_is_walked_without_the_open_walk(monkeypatch):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 CAPACITY = 1 << 63
-TRIAL_LIMIT = 10**6
+TRIAL_LIMIT = 10**4
 # entries kept by each of the two caches: mul_order's, which nearly every
 # call hits, and cosets._exact_order's, the oracle's order certificates;
 # factorize is not cached, as such a cache saved no time on the benchmark
@@ -137,7 +137,7 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as ((p1, e1), ...) with p1 < p2 < ...
 
-    Trial division up to 10**6, then Pollard rho for whatever survives.
+    Trial division up to TRIAL_LIMIT, then Pollard rho for whatever survives.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -159,8 +159,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
         else:

@@ -51,9 +51,8 @@ def _render(fmt: str, q: int, n: int, rows: list[tuple[int, ...]], with_leaders:
     if fmt == "csv":
         record = ",".join(["%s"] * len(header)) + "\n"
         return ",".join(header) + "\n" + "".join(map(record.__mod__, rows)) + f"# total={total}\n"
-    widths = [
-        max(len(h), len(str(max(col))), len(str(min(col)))) for h, col in zip(header, zip(*rows))
-    ]
+    # every rep, size and leader is >= 0, so the largest value is the widest
+    widths = [max(len(h), len(str(max(col)))) for h, col in zip(header, zip(*rows))]
     record = "  ".join(f"%-{w}s" for w in widths) + "\n"
     return (
         "  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n"
@@ -179,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="compare against the orbit oracle")
     _add_q_options(p_verify)
     p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--n-max", type=int, help="verify all coprime n up to this bound")
+    p_verify.add_argument(
+        "--n-max", type=int, help="verify every coprime n up to N_MAX, one O(n) verify each"
+    )
     p_verify.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p_verify.set_defaults(func=cmd_verify)
 

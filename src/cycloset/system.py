@@ -8,6 +8,12 @@ through a whole ell-power tower is what `enumerate_branch` does in closed
 form: every branch over a base coset is indexed by the digit position m
 where it leaves the principal digit stream of -gamma/n, a substituted
 digit at that position, and a short tail of free digits.
+
+Only a multiple of ell**k, k = v_ell(m), can semi-split modulo m: the
+orbit of gamma closes after tau steps, so m divides (q**tau - 1) * gamma,
+and q**tau not 1 mod ell leaves all of ell**k to divide gamma. Such a
+coset is ell**k times a coset over the ell-free m / ell**k, which is a
+base coset of the branch plan; its children are read from that plan.
 """
 
 from __future__ import annotations
@@ -166,14 +172,12 @@ def _decompose_with_tau(ell, q, m, gamma, tau):
     kind = _classify_with_tau(ell, q, m, gamma, tau)
     lm = ell * m
     if kind is SplitKind.SEMI_SPLITTING:
-        gamma0 = lift_representative(ell, m, gamma)
-        o = mul_order(pow(q, tau, ell), ell)
-        children = [CyclotomicCoset(q, lm, gamma0 % lm, tau)]
-        children.extend(
-            CyclotomicCoset(q, lm, (gamma0 + d * m) % lm, o * tau)
-            for d in transversal_R(ell, q, tau)
-        )
-        return children
+        # m divides (q**tau - 1) * gamma and ell does not divide q**tau - 1,
+        # so ell**k divides gamma, k = v_ell(m): the children are ell**k
+        # times the depth-1 slice over gamma / ell**k mod the ell-free m / ell**k
+        step = ell ** val(ell, m)
+        *stable, principal = _depth_slice(ell, q, m // step, gamma // step, tau, 1, {})
+        return [CyclotomicCoset(q, lm, step * rep, size) for rep, size in [principal, *stable]]
     if kind is SplitKind.SPLITTING:
         return [CyclotomicCoset(q, lm, (gamma + d * m) % lm, tau) for d in range(ell)]
     return [CyclotomicCoset(q, lm, gamma, ell * tau)]
@@ -203,17 +207,18 @@ def generating_series(ell: int, q: int, n: int, gamma: int, m: int) -> list[Gene
     Semi-splitting regime: one series per transversal class, the digit at
     position m shifted by the class representative. Otherwise: one series
     per digit in the complement of the principal digit (a single flip
-    when ell = 2).
+    when ell = 2). The substitutes depend on tau alone, so a depth-1 plan
+    gives them; with the m + 1 digits of -gamma/n the cost is O(m).
     """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    _gamma, _tau, plan, phi = _branch_setup(ell, q, n, gamma, m + 1)
-    prefix = tuple(phi[:m])
-    # at depth m + 1 a family departing at m has no tail digits
+    _check_tower(ell, q, n, m + 1)
+    gamma %= n
+    plan = _branch_plan(ell, q, n, size_of(q, n, gamma), 1)
+    *prefix, digit = phi_digits(ell, n, gamma, m + 1)
     return [
-        GeneratingSeries(m, i, prefix + (u,), ell)
-        for dep, i, u, _t, _value in _stable_families(plan, phi)
-        if dep == m
+        GeneratingSeries(m, i, (*prefix, u), ell)
+        for i, u in enumerate(plan.substitutes(digit), 1)
     ]
 
 
@@ -351,19 +356,13 @@ def _stable_families(plan, phi):
         prefix += phi[m] * power
 
 
-def _branch_setup(ell, q, n, gamma, f):
-    _check_tower(ell, q, n, f)
-    gamma %= n
-    tau = size_of(q, n, gamma)
-    return gamma, tau, _branch_plan(ell, q, n, tau, f), phi_digits(ell, n, gamma, f)
-
-
 def _depth_slice(ell, q, n, gamma, tau, f, plans):
     """(rep, size) of every depth-f coset over the orbit of gamma mod n.
 
     The lean path of whole-partition lifting, in two parts. The plan for
     base size tau comes from `plans`, a dict keyed by tau that the caller
-    shares across the base cosets of one lift; it is built on first use.
+    shares across the base cosets of one lift (a one-off caller passes an
+    empty dict); it is built on first use.
     The expansion then walks only the digits of -gamma/n (gamma in
     [0, n), ell already checked prime), emitting one block of tail offsets
     per substituted digit and the principal coset last. Every value lies
@@ -394,15 +393,16 @@ def enumerate_branch(ell: int, q: int, n: int, gamma: int, f: int) -> list[Branc
     (lexicographic). The depth-f components of all descriptors together
     partition the preimage of the base coset modulo ell**f * n.
     """
-    gamma, tau, plan, phi = _branch_setup(ell, q, n, gamma, f)
+    _check_tower(ell, q, n, f)
+    gamma %= n
+    tau = size_of(q, n, gamma)
+    plan = _branch_plan(ell, q, n, tau, f)
+    phi = phi_digits(ell, n, gamma, f)
     regime, o, v = plan.regime, plan.o, plan.v
-    powers = [ell**N * n for N in range(f + 1)]
 
     def comps(value, size_at):
-        return tuple(
-            (N, (gamma + n * (value % (powers[N] // n))) % powers[N], size_at(N))
-            for N in range(f + 1)
-        )
+        # gamma + n * (value mod ell**N) is below ell**N * n: no reduction
+        return tuple((N, gamma + n * (value % ell**N), size_at(N)) for N in range(f + 1))
 
     out = [
         BranchDescriptor(

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,64 @@ def test_factorize_beyond_trial_division():
     assert factorize(n) == ((1000003, 1), (1000033, 1))
 
 
+def _best_ms(fn, repeats=5):
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1000
+
+
+def test_factorize_hands_large_cofactors_to_rho_early():
+    # no factor below the trial bound: rho takes over at 10**4, so neither
+    # call pays a wheel to 10**6 (about 60 ms each with that bound)
+    assert as_prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert _best_ms(lambda: as_prime_power(2**61 - 1)) < 15
+    assert _best_ms(lambda: factorize(1000003 * 1000033)) < 15
+
+
+def _primes_below(bound):
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return [p for p in range(bound) if sieve[p]]
+
+
+def _factor_by_trial(n, primes):
+    # trial division to sqrt(n); every prime factor of n is in `primes`
+    counts = {}
+    for p in primes:
+        if p * p > n:
+            break
+        while n % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        counts[n] = counts.get(n, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def test_factorize_matches_trial_division_around_the_trial_bound():
+    primes = _primes_below(10**6)
+    small = [p for p in primes if p < 10**4]
+    large = [p for p in primes if p > 10**4]
+    rng = random.Random(23)
+    cases = [10007**2, 9973 * 10007, 10007**3, 999983**3, 10007 * 999983**2]
+    while len(cases) < 150:
+        n = 1
+        for _ in range(rng.randrange(1, 4)):
+            n *= rng.choice(large) ** rng.randrange(1, 4)  # squares and cubes too
+        for _ in range(rng.randrange(0, 4)):
+            n *= rng.choice(small)
+        if n < CAPACITY:
+            cases.append(n)
+    for n in cases:
+        assert factorize(n) == _factor_by_trial(n, primes), n
+
+
 def test_factorize_errors():
     with pytest.raises(ValueError):
         factorize(0)
@@ -146,6 +205,11 @@ def test_mul_order_golden():
     assert mul_order(7, 1) == 1
     assert mul_order(2, 7) == 3
     assert mul_order(5, 3888) == 324
+
+
+def test_mul_order_bad_modulus():
+    with pytest.raises(ValueError):
+        mul_order(2, 0)
 
 
 def test_mul_order_not_invertible():
@@ -243,6 +307,12 @@ def test_val_pow_minus_one_matches_direct():
         assert val_pow_minus_one(ell, q, d) == _direct_val(ell, q**d - 1)
 
 
+def test_val_pow_minus_one_edges():
+    assert val_pow_minus_one(3, 6, 2) == 0  # ell divides q, so never q**d - 1
+    with pytest.raises(ValueError):
+        val_pow_minus_one(3, 2, 0)
+
+
 def test_val_pow_minus_one_vanishing_power():
     # q**d = 1 has no valuation; this used to loop forever
     for ell, q, d in ((3, 1, 1), (7, 1, 5), (3, -1, 2), (5, -1, 4)):
@@ -286,6 +356,8 @@ def test_phi_prefix_errors():
         phi_prefix(3, 5, 1, -1)
     with pytest.raises(ValueError):
         phi_digits(3, 5, 1, -1)
+    with pytest.raises(ValueError):
+        phi_digits(3, 0, 1, 2)  # n not positive
 
 
 @settings(max_examples=300)

@@ -162,6 +162,13 @@ def test_conflicting_q_forms(capsys):
     assert "not both" in err
 
 
+def test_missing_q_is_refused(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: one of --q or --p is required\n"
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--q", "5", "--n", "3888")
     assert code == 0
@@ -180,6 +187,13 @@ def test_verify_n_and_n_max_conflict(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: give either --n or --n-max, not both\n"
+
+
+def test_verify_without_n_or_n_max_is_refused(capsys):
+    code, out, err = run(capsys, "verify", "--q", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: one of --n or --n-max is required\n"
 
 
 def test_verify_n_max_below_one_is_refused(capsys):

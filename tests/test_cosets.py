@@ -42,6 +42,16 @@ def test_coset_of_golden():
     assert coset_of(5, 3888, 1296).size == 2
 
 
+def test_materialize_returns_stored_elements_without_walking(monkeypatch):
+    c = coset_of(5, 16, 1)
+
+    def no_walk(*args):
+        raise AssertionError("walked an orbit that is already stored")
+
+    monkeypatch.setattr(cosets, "_orbit", no_walk)
+    assert c.materialize() is c.elements
+
+
 def test_coset_of_reduces_rep():
     c = coset_of(5, 16, 21)
     assert c.rep == 5

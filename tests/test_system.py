@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -135,6 +137,13 @@ def test_lift_representative_properties():
         assert g0 % m == gamma
         assert 0 <= g0 < ell * m
         assert g0 == 0 or val(ell, g0) >= val(ell, m) + 1
+
+
+def test_lift_representative_bad_arguments():
+    with pytest.raises(ValueError):
+        lift_representative(4, 9, 0)  # ell not prime
+    with pytest.raises(ValueError):
+        lift_representative(3, 0, 0)  # modulus not positive
 
 
 def test_lift_representative_no_lift():
@@ -274,6 +283,27 @@ def test_generating_series_golden():
     series = generating_series(2, 5, 243, 0, 3)
     assert [s.digits for s in series] == [(0, 0, 0, 1)]
     assert series[0].value == 8
+
+
+def test_negative_degree_and_depth_are_refused():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        generating_series(3, 5, 16, 0, -1)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        enumerate_branch(3, 5, 16, 0, -1)
+
+
+def test_generating_series_reads_a_one_step_plan():
+    # v_2(65537 - 1) = 16: a depth-19 plan would hold 2**15 tails per position
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        series = generating_series(2, 65537, 1, 0, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 0.05
+    assert peak < 2**20
+    assert [(s.index, s.digits) for s in series] == [(1, (0,) * 18 + (1,))]
 
 
 def test_branch_depth_capacity():
@@ -527,3 +557,39 @@ def test_splitting_tree_dot():
     # each, 4 splitting roots with 3 children each
     tree = splitting_tree(3, 5, 16, 1)
     assert dot.count("->") == len(tree.levels[1]) == 20
+
+
+# SHA-256 of splitting_tree(ell, q, n, depth).to_dot(): the DOT bytes of
+# `cycloset tree` are pinned, so every statement of the one-step rules that
+# the tree reads must reproduce them
+TREE_DOT_DIGESTS = {
+    (3, 5, 16, 3): "bf5da19bfe8c01f88d79546cc0194596a76bdb13b693c17821c2f3278e6945a4",
+    (7, 2, 15, 3): "7a1e3a417bc038c86eb8b62ba9f1348d1f89cc9d6aa04351acbd80a74711a4ea",
+    (3, 19, 8, 3): "8166e1d08045a42eb3d99206d239af7f42a0c3e5bee724026117cd343d93e2dd",
+    (2, 5, 243, 3): "dbb249642d9d00c4cc9259db42d9d59bfacab3de3bc919ee6fd65749f8dc5d21",
+    (2, 7, 3, 4): "573f0a984d503d9eae741d55ed92c505f3e13422ccf70284981bbaf79fea91e9",
+    (5, 2, 3, 3): "e317f2c4379579f45feb83f76a1c0bceef92d7d72cd2e7cffca8f1b79dca64fc",
+    (3, 2, 5, 3): "3983a5c5c8ccfaddd604b2dc9f43c9989c0b05bddbe3fb942057b5af2a498951",
+    (2, 3, 5, 4): "1a8bc1130bf7fc7dc725fdaf545f5bff9adf79b4583fde8168e9a1db07b83cc8",
+    (5, 7, 6, 2): "0938a88e3b1ac0226a9622f71bbc75773d4b40efca893ae47cd73065a271d545",
+    (13, 3, 4, 2): "cf0d9d9b3e98c2d7934f75384b661f378ba37d2664da3cc55e8d85086c7e8b4d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TREE_DOT_DIGESTS))
+def test_splitting_tree_dot_matches_recorded_digest(case):
+    dot = splitting_tree(*case).to_dot().encode()
+    assert hashlib.sha256(dot).hexdigest() == TREE_DOT_DIGESTS[case]
+
+
+def test_tree_digest_grid_covers_every_kind_past_the_base():
+    # every one-step kind occurs at some modulus ell**k * n with k >= 1,
+    # and ell = 2 is taken with q = 1 and q = 3 mod 4
+    kinds = {
+        node.kind
+        for case in TREE_DOT_DIGESTS
+        for level in splitting_tree(*case).levels[1:]
+        for node in level
+    }
+    assert kinds == set(SplitKind)
+    assert {q % 4 for ell, q, _n, _f in TREE_DOT_DIGESTS if ell == 2} == {1, 3}

@@ -14,6 +14,9 @@ orbit of gamma closes after tau steps, so m divides (q**tau - 1) * gamma,
 and q**tau not 1 mod ell leaves all of ell**k to divide gamma. Such a
 coset is ell**k times a coset over the ell-free m / ell**k, which is a
 base coset of the branch plan; its children are read from that plan.
+Down one tower over an ell-free n, every such m / ell**k is n itself,
+so the depth-1 plans keyed by tau alone serve every level: one plans
+dict serves a whole splitting tree, one transversal per distinct tau.
 """
 
 from __future__ import annotations
@@ -164,23 +167,28 @@ def preimage_decompose(ell: int, q: int, m: int, gamma: int) -> list[CyclotomicC
     """
     _check_inputs(ell, q, m)
     check_capacity(ell * m)
-    return _decompose_with_tau(ell, q, m, gamma, size_of(q, m, gamma))
+    kind = classify(ell, q, m, gamma)
+    pairs = _decompose_with_tau(ell, q, m, gamma % m, size_of(q, m, gamma), kind, {})
+    return [CyclotomicCoset(q, ell * m, rep, size) for rep, size in pairs]
 
 
-def _decompose_with_tau(ell, q, m, gamma, tau):
-    gamma %= m
-    kind = _classify_with_tau(ell, q, m, gamma, tau)
-    lm = ell * m
+def _decompose_with_tau(ell, q, m, gamma, tau, kind, plans):
+    """(rep, size) of every coset mod ell*m over the coset of gamma mod m.
+
+    gamma lies in [0, m), with size tau and one-step kind `kind`; the
+    principal child comes first. A semi-splitting gamma is ell**k times a
+    coset over the ell-free m / ell**k, k = v_ell(m), and its children
+    come from the depth-1 plan for tau in `plans` over that modulus: a
+    caller may share `plans` only across moduli with the same ell-free
+    part, as down one tower, and a one-off caller passes an empty dict.
+    """
     if kind is SplitKind.SEMI_SPLITTING:
-        # m divides (q**tau - 1) * gamma and ell does not divide q**tau - 1,
-        # so ell**k divides gamma, k = v_ell(m): the children are ell**k
-        # times the depth-1 slice over gamma / ell**k mod the ell-free m / ell**k
         step = ell ** val(ell, m)
-        *stable, principal = _depth_slice(ell, q, m // step, gamma // step, tau, 1, {})
-        return [CyclotomicCoset(q, lm, step * rep, size) for rep, size in [principal, *stable]]
+        *stable, principal = _depth_slice(ell, q, m // step, gamma // step, tau, 1, plans)
+        return [(step * rep, size) for rep, size in [principal, *stable]]
     if kind is SplitKind.SPLITTING:
-        return [CyclotomicCoset(q, lm, (gamma + d * m) % lm, tau) for d in range(ell)]
-    return [CyclotomicCoset(q, lm, gamma, ell * tau)]
+        return [(gamma + d * m, tau) for d in range(ell)]
+    return [(gamma, ell * tau)]
 
 
 @dataclass(frozen=True)

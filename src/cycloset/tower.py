@@ -6,7 +6,8 @@ comes from the closed-form branch slices. `verify` runs the structured
 path first, then holds its (rep, size) pairs against the true orbits
 with the oracle's one partition check (`cosets._orbit_mismatches`).
 `splitting_tree` draws the one-step splits of every coset down an
-ell-power tower.
+ell-power tower, reading every node's children from one set of branch
+plans.
 """
 
 from __future__ import annotations
@@ -214,8 +215,16 @@ class SplittingTree:
 
 def splitting_tree(ell: int, q: int, n: int, f: int) -> SplittingTree:
     """Preimage tree of every coset mod n down to depth f, annotated with
-    sizes and one-step split kinds."""
+    sizes and one-step split kinds.
+
+    A semi-splitting node at depth d is ell**d times a coset mod the
+    ell-free n (`system`), so its children depend on its size tau alone:
+    one plans dict serves the whole tree, and each distinct semi-splitting
+    tau costs one depth-1 branch plan and one transversal. Each node is
+    classified once, when it is made, and expanded by its stored kind.
+    """
     _check_tower(ell, q, n, f)
+    plans: dict = {}
     levels = [
         tuple(
             TreeNode(0, rep, size, _classify_with_tau(ell, q, n, rep, size), None)
@@ -225,10 +234,10 @@ def splitting_tree(ell: int, q: int, n: int, f: int) -> SplittingTree:
     mod = n
     for depth in range(1, f + 1):
         row = []
-        for node in levels[-1]:
-            for child in _decompose_with_tau(ell, q, mod, node.rep, node.size):
-                kind = _classify_with_tau(ell, q, mod * ell, child.rep, child.size)
-                row.append(TreeNode(depth, child.rep, child.size, kind, node.rep))
+        for nd in levels[-1]:
+            for rep, size in _decompose_with_tau(ell, q, mod, nd.rep, nd.size, nd.kind, plans):
+                kind = _classify_with_tau(ell, q, mod * ell, rep, size)
+                row.append(TreeNode(depth, rep, size, kind, nd.rep))
         levels.append(tuple(row))
         mod *= ell
     return SplittingTree(ell, q, n, f, tuple(levels))

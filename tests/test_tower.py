@@ -12,12 +12,15 @@ from cycloset import (
     CapacityError,
     CosetPartition,
     CyclotomicCoset,
+    SplitKind,
+    classify,
     enumerate_cosets,
     enumerate_naive,
     factorization_plan,
     factorize,
     lift_partition,
     project,
+    splitting_tree,
     verify,
 )
 from cycloset.cosets import _orbit, _orbit_mismatches, _orbit_sweep
@@ -427,3 +430,76 @@ def test_branch_plan_built_once_per_tau(monkeypatch, q, n):
         k: sorted(v) for k, v in expected.items()
     }
     assert sorted(pairs) == [(c.rep, c.size) for c in enumerate_cosets(q, n).cosets]
+
+
+def _tree_grid(seed, count, cap=200_000):
+    # seeded (ell, q, n, f) with n ell-free, q a prime power coprime to
+    # ell*n, and ell**f * n <= cap
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ell = rng.choice((2, 3, 5, 7, 11, 13))
+        n = rng.randrange(1, 400)
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 49))
+        if n % ell == 0 or math.gcd(q, ell * n) != 1:
+            continue
+        f = rng.randrange(0, 6)
+        while ell**f * n > cap:
+            f -= 1
+        out.append((ell, q, n, f))
+    return out
+
+
+@pytest.mark.parametrize("case", [(11, 3, 59, 1)] + _tree_grid(1617, 60))
+def test_splitting_tree_levels_match_the_oracle(case):
+    # each level is the partition mod ell**d * n (orbits, not reps: the
+    # tree's reps differ from the lift's when ell is not n's largest
+    # prime), each kind is classify's, and each child reduces to its parent
+    ell, q, n, f = case
+    tree = splitting_tree(ell, q, n, f)
+    assert len(tree.levels) == f + 1
+    for d, level in enumerate(tree.levels):
+        m = ell**d * n
+        nodes = sorted(level, key=lambda nd: nd.rep)
+        CosetPartition(q, m, tuple(CyclotomicCoset(q, m, nd.rep, nd.size) for nd in nodes)).validate()
+        assert len(level) == len(tower._enumerate_pairs(q, m))
+        assert all(nd.depth == d and nd.kind is classify(ell, q, m, nd.rep) for nd in level)
+        if d:
+            assert all(nd.rep % (m // ell) == nd.parent for nd in level)
+        else:
+            assert all(nd.parent is None for nd in level)
+
+
+@pytest.mark.parametrize("case, taus", [((1000003, 2, 255, 1), 4), ((3, 5, 16, 6), 1)])
+def test_splitting_tree_plans_once_per_tau(monkeypatch, case, taus):
+    # every semi-splitting node of a tree over an ell-free n is ell**d
+    # times a coset mod n, so one transversal per distinct tau serves them
+    import cycloset.system as system
+
+    ell = case[0]
+    calls = []
+    real = system.transversal_R
+
+    def counted(p, q, tau):
+        calls.append((p, tau))
+        return real(p, q, tau)
+
+    monkeypatch.setattr(system, "transversal_R", counted)
+    tree = splitting_tree(*case)
+    semi = {
+        nd.size
+        for level in tree.levels[:-1]
+        for nd in level
+        if nd.kind is SplitKind.SEMI_SPLITTING
+    }
+    assert len(semi) == taus
+    assert sorted(tau for p, tau in calls if p == ell) == sorted(semi)
+
+
+def test_splitting_tree_over_a_large_prime_is_fast():
+    # 35 semi-splitting roots over 4 distinct tau: four O(ell) transversals
+    t0 = time.perf_counter()
+    tree = splitting_tree(1000003, 2, 255, 1)
+    elapsed = time.perf_counter() - t0
+    assert sum(nd.size for nd in tree.levels[1]) == 1000003 * 255
+    assert elapsed < 2.5

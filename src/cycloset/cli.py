@@ -117,9 +117,12 @@ def cmd_verify(args) -> int:
     if args.n_max is not None:
         if args.n_max < 1:
             raise ValueError("--n-max must be at least 1")
-        # q is a prime power, so the last coprime n is n_max or n_max - 1;
-        # past the cap it is refused before any smaller n is verified
-        _check_total_walk(args.n_max - (math.gcd(q, args.n_max) != 1), args.oracle_cap)
+        # each verify walks n residues, and q = p**e: the n <= n_max coprime
+        # to q walk T(n_max) - p * T(n_max // p) in all, T(x) = x(x+1)/2,
+        # so a sweep past the cap is refused before its first verify
+        n_max, p = args.n_max, PrimePowerQ.from_value(q).p
+        k = n_max // p
+        _check_total_walk((n_max * (n_max + 1) - p * k * (k + 1)) // 2, args.oracle_cap)
         moduli = (n for n in range(1, args.n_max + 1) if math.gcd(q, n) == 1)
     elif args.n is None:
         raise ValueError("one of --n or --n-max is required")
@@ -179,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_q_options(p_verify)
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument(
-        "--n-max", type=int, help="verify every coprime n up to N_MAX, one O(n) verify each"
+        "--n-max", type=int, help="verify each coprime n <= N_MAX if their sum is within the cap"
     )
     p_verify.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p_verify.set_defaults(func=cmd_verify)

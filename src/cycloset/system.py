@@ -54,7 +54,9 @@ class Regime(Enum):
 
     Decided once per base coset from ell and q**tau: odd ell with
     q**tau not 1 mod ell (semi-splitting), odd ell with q**tau = 1
-    mod ell (splitting), or ell = 2 split by q**tau mod 4.
+    mod ell (splitting), or ell = 2 split by q**tau mod 4. Sizes and
+    degrees are read from (o, v, lift) alone; the regime only chooses
+    the transversal and `lift`, and labels each descriptor.
     """
 
     SEMI_SPLITTING = "semi-splitting"
@@ -167,8 +169,10 @@ def preimage_decompose(ell: int, q: int, m: int, gamma: int) -> list[CyclotomicC
     """
     _check_inputs(ell, q, m)
     check_capacity(ell * m)
-    kind = classify(ell, q, m, gamma)
-    pairs = _decompose_with_tau(ell, q, m, gamma % m, size_of(q, m, gamma), kind, {})
+    gamma %= m
+    tau = size_of(q, m, gamma)
+    kind = _classify_with_tau(ell, q, m, gamma, tau)
+    pairs = _decompose_with_tau(ell, q, m, gamma, tau, kind, {})
     return [CyclotomicCoset(q, ell * m, rep, size) for rep, size in pairs]
 
 
@@ -265,30 +269,24 @@ def degrees(descriptor: BranchDescriptor) -> tuple[float, float]:
 
 
 def _base_params(ell, q, tau):
-    # regime, order factor, and the valuation v steering tail lengths
+    # regime, order factor o = ord_ell(q**tau), and the valuation v
+    # steering tail lengths
     if ell == 2:
         if pow(q, tau, 4) == 1:
             return Regime.TWO_ADIC_ONE, 1, lte_two(q, tau)[0]
         return Regime.TWO_ADIC_THREE, 1, lte_two(q, tau)[1]
-    b = pow(q, tau, ell)
-    if b != 1:
-        o = mul_order(b, ell)
-        return Regime.SEMI_SPLITTING, o, val_pow_minus_one(ell, q, tau * o)
-    return Regime.SPLITTING, 1, val_pow_minus_one(ell, q, tau)
+    o = mul_order(pow(q, tau, ell), ell)
+    regime = Regime.SPLITTING if o == 1 else Regime.SEMI_SPLITTING
+    return regime, o, val_pow_minus_one(ell, q, tau * o)
 
 
-def _stable_size(ell, regime, tau, o, v, m, N):
-    if regime is Regime.SEMI_SPLITTING:
-        if N <= m:
-            return tau
-        return ell ** max(0, N - m - v) * o * tau
-    if regime is Regime.TWO_ADIC_THREE:
-        if N <= m + 1:
-            return tau
-        if N <= m + v + 1:
-            return 2 * tau
-        return (1 << (N - m - v)) * tau
-    return ell ** max(0, N - m - v) * tau
+def _stable_size(ell, tau, o, v, lift, m, N):
+    # every regime: a family departing at digit m keeps size tau below
+    # depth m + lift, is o * ell**(lift - 1) * tau from there, and gains a
+    # factor ell per depth once N - m - v passes lift - 1
+    if N < m + lift:
+        return tau
+    return ell ** max(lift - 1, N - m - v) * o * tau
 
 
 class _Step(NamedTuple):
@@ -304,16 +302,19 @@ class _BranchPlan(NamedTuple):
     that does not depend on the base representative gamma.
 
     It is a function of (ell, q, n, tau, f) alone: the regime, the order
-    factor o, the valuation v, the transversal shifts (semi-splitting
-    only), n**-1 mod ell for the digit recurrence of -gamma/n, and one
-    `_Step` per departure position m < f. A base coset enters only through
-    its digits, which pick the substituted digits at each m.
+    factor o, the valuation v, the lag `lift` (2 in the 2-adic q**tau = 3
+    mod 4 regime, else 1) from a departure to its first growth and to its
+    tail, the transversal shifts (semi-splitting only), n**-1 mod ell for
+    the digit recurrence of -gamma/n, and one `_Step` per departure
+    position m < f. A base coset enters only through its digits, which
+    pick the substituted digits at each m.
     """
 
     ell: int
     regime: Regime
     o: int
     v: int
+    lift: int
     shifts: list[int] | None
     ninv: int
     steps: tuple[_Step, ...]
@@ -329,8 +330,8 @@ def _branch_plan(ell, q, n, tau, f):
     """The one statement of the branch rules: substitutions, tails and sizes.
 
     Tails hold the free digits that still matter at depth f, starting
-    one position above m (two for the 2-adic q**tau = 3 mod 4 regime),
-    so distinct families give distinct cosets modulo ell**f * n.
+    `lift` positions above m, so distinct families give distinct cosets
+    modulo ell**f * n.
     """
     regime, o, v = _base_params(ell, q, tau)
     shifts = transversal_R(ell, q, tau) if f and regime is Regime.SEMI_SPLITTING else None
@@ -343,9 +344,9 @@ def _branch_plan(ell, q, n, tau, f):
         tails = [
             (t, tail_base * digits_value(ell, t)) for t in product(range(ell), repeat=t_len)
         ]
-        size = _stable_size(ell, regime, tau, o, v, m, f)
+        size = _stable_size(ell, tau, o, v, lift, m, f)
         steps.append(_Step(power, size, tails, [n * tail for _t, tail in tails]))
-    return _BranchPlan(ell, regime, o, v, shifts, pow(n, -1, ell), tuple(steps))
+    return _BranchPlan(ell, regime, o, v, lift, shifts, pow(n, -1, ell), tuple(steps))
 
 
 def _stable_families(plan, phi):
@@ -406,7 +407,7 @@ def enumerate_branch(ell: int, q: int, n: int, gamma: int, f: int) -> list[Branc
     tau = size_of(q, n, gamma)
     plan = _branch_plan(ell, q, n, tau, f)
     phi = phi_digits(ell, n, gamma, f)
-    regime, o, v = plan.regime, plan.o, plan.v
+    regime, o, v, lift = plan.regime, plan.o, plan.v, plan.lift
 
     def comps(value, size_at):
         # gamma + n * (value mod ell**N) is below ell**N * n: no reduction
@@ -420,14 +421,14 @@ def enumerate_branch(ell: int, q: int, n: int, gamma: int, f: int) -> list[Branc
             comps(digits_value(ell, phi), lambda N: tau),
         )
     ]
-    s_offset = v if regime is Regime.TWO_ADIC_THREE else v - 1
+    s_offset = v + lift - 2
     for m, i, u, t, value in _stable_families(plan, phi):
         out.append(
             BranchDescriptor(
                 ell, q, n, gamma, tau, regime, o, v,
                 STABLE, m, i, u, t,
                 m + 1, m + 1 + s_offset,
-                comps(value, lambda N, m=m: _stable_size(ell, regime, tau, o, v, m, N)),
+                comps(value, lambda N, m=m: _stable_size(ell, tau, o, v, lift, m, N)),
             )
         )
     return out

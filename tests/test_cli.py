@@ -212,8 +212,15 @@ def test_verify_n_max_past_the_oracle_cap_is_refused_before_any_verify(capsys, m
 
     monkeypatch.setattr(cli_mod, "verify", no_verify)
     t0 = time.perf_counter()
-    # 101 is the last n coprime to 2 up to 102, and it lies past a cap of 100
-    for q, n_max, cap in (("5", "20000000", "10000000"), ("2", "102", "100"), ("2", "101", "100")):
+    # the odd n up to 102 walk 1 + 3 + ... + 101 = 2601 residues in all,
+    # one past a cap of 2600, though each n alone lies within it
+    for q, n_max, cap in (
+        ("5", "20000000", "10000000"),
+        ("2", "102", "100"),
+        ("2", "101", "100"),
+        ("2", "102", "2600"),
+        ("2", "10000000", "10000000"),
+    ):
         code, out, err = run(capsys, "verify", "--q", q, "--n-max", n_max, "--oracle-cap", cap)
         assert code == 2
         assert out == ""
@@ -225,8 +232,9 @@ def test_verify_n_max_past_the_oracle_cap_is_refused_before_any_verify(capsys, m
 
 
 def test_verify_n_max_stops_at_the_last_coprime_n(capsys):
-    # 102 is even, so q=2 verifies up to 101, within the cap
-    code, out, err = run(capsys, "verify", "--q", "2", "--n-max", "102", "--oracle-cap", "101")
+    # 102 is even, so q=2 verifies the odd n up to 101, whose sum 2601
+    # is within the cap
+    code, out, err = run(capsys, "verify", "--q", "2", "--n-max", "102", "--oracle-cap", "2601")
     assert code == 0
     assert out == "verified q=2 for 51 moduli up to 102: all match\n"
     assert err == ""

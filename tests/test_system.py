@@ -26,11 +26,12 @@ from cycloset import (
     transversal_R,
     val,
 )
-from cycloset.arith import digits_value, phi_digits
+from cycloset.arith import digits_value, factorize, phi_digits
 from cycloset.system import (
     PRINCIPAL,
     STABLE,
     _base_params,
+    _branch_plan,
     _check_tower,
     _depth_slice,
     _stable_size,
@@ -424,6 +425,40 @@ REGIME_GRID = [
 ]
 
 
+def _stable_size_reference(ell, regime, tau, o, v, m, N):
+    # the depth-N size of a family departing at m, one formula per regime
+    if regime is Regime.SEMI_SPLITTING:
+        if N <= m:
+            return tau
+        return ell ** max(0, N - m - v) * o * tau
+    if regime is Regime.TWO_ADIC_THREE:
+        if N <= m + 1:
+            return tau
+        if N <= m + v + 1:
+            return 2 * tau
+        return (1 << (N - m - v)) * tau
+    return ell ** max(0, N - m - v) * tau
+
+
+def test_stable_size_law_matches_the_regime_formulas():
+    # the one law in (o, v, lift) against one formula per regime, with
+    # lift read from the branch plan
+    prime_powers = [q for q in range(2, 50) if len(factorize(q)) == 1]
+    regimes = set()
+    for ell in (2, 3, 5, 7, 11, 13, 17, 31):
+        for q in prime_powers:
+            if q % ell == 0:
+                continue
+            for tau in range(1, 13):
+                regime, o, v = _base_params(ell, q, tau)
+                lift = _branch_plan(ell, q, 1, tau, 0).lift
+                regimes.add(regime)
+                for m, N in product(range(6), range(16)):
+                    expected = _stable_size_reference(ell, regime, tau, o, v, m, N)
+                    assert _stable_size(ell, tau, o, v, lift, m, N) == expected
+    assert regimes == set(Regime)
+
+
 def _depth_slice_reference(ell, q, n, gamma, tau, f):
     # the kernel before plans: every rule recomputed for each base coset
     gamma %= n
@@ -445,7 +480,7 @@ def _depth_slice_reference(ell, q, n, gamma, tau, f):
         t_len = min(v - 1, max(0, f - m - 1 - offset))
         tail_base = power * ell ** (1 + offset)
         tails = [tail_base * digits_value(ell, t) for t in product(range(ell), repeat=t_len)]
-        size = _stable_size(ell, regime, tau, o, v, m, f)
+        size = _stable_size_reference(ell, regime, tau, o, v, m, f)
         for u in subs:
             head = principal % power + u * power
             for tail in tails:

@@ -14,6 +14,7 @@ from operator import itemgetter
 
 from .arith import PrimePowerQ, phi_prefix
 from .cosets import ORACLE_CAP, CosetPartition, CyclotomicCoset, _check_total_walk
+from .cosets import _partition_leaders
 from .tower import _enumerate_pairs, enumerate_cosets, splitting_tree, verify
 
 _JSON_INT_MAX = 2**53
@@ -26,8 +27,8 @@ def _jtext(v: int) -> str:
 
 
 def _leader_rows(part: CosetPartition) -> list[tuple[int, int, int]]:
-    _check_total_walk(part.n)
-    return sorted(((c.rep, c.size, c.leader()) for c in part.cosets), key=itemgetter(2))
+    rows = zip(part.cosets, _partition_leaders(part))
+    return sorted(((c.rep, c.size, lead) for c, lead in rows), key=itemgetter(2))
 
 
 def _render(fmt: str, q: int, n: int, rows: list[tuple[int, ...]], with_leaders: bool) -> str:

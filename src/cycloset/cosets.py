@@ -11,6 +11,13 @@ Given a claimed length, `_orbit_leader` first certifies it with
 `mul_order`, cached like `mul_order`): a certified claim is the true
 length, so the walk is a counted loop with no return test; any other
 claim gets the open walk.
+`_leaders` gives what `_orbit_leader` gives for many reps at once, and
+`_orbit_mismatches` and `leader_map` read it. For long orbits it scans
+instead of walking: the orbit of x = g*u, g = gcd(x, n), is
+g*(u*<q> mod m) with m = n/g and gcd(u, m) = 1, a coset of the subgroup
+<q> of (Z/m)*, so its leader is g*r for the least r >= 1 with
+r*u^-1 mod m in <q>. One bitmap of <q> mod m, at most n/8 bytes, serves
+every rep with that m.
 Every walk needs gcd(q, n) = 1, since x -> q*x is no permutation of Z/nZ
 otherwise and a walk from x may never come back to x; each caller checks
 that before the first step.
@@ -94,6 +101,68 @@ def _open_walk(q: int, n: int, x: int) -> tuple[int, int]:
         y = y * q % n
         length += 1
     return lead, length
+
+
+def _leaders(q: int, n: int, pairs) -> list[tuple[int, int]]:
+    """`_orbit_leader(q, n, rep, claimed)` for every pair of a list, in
+    order.
+
+    The orbit of a rep x = g*u, g = gcd(x, n), is g*(u*<q> mod m) with
+    m = n/g and gcd(u, m) = 1, since x*q**k mod n = g*(u*q**k mod m). The
+    pairs whose claim c is an int that `_exact_order` certifies are
+    grouped by (m, c); a group of two or more reps with c*c > m is
+    scanned (`_scan_group`), about m/c steps per rep against the walk's
+    c. Every other pair is walked by `_orbit_leader`.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (rep, claimed) in enumerate(pairs):
+        if not 0 <= rep < n:
+            raise ValueError(f"{rep} lies outside [0, {n})")
+        m = n // math.gcd(rep, n)
+        if type(claimed) is int and claimed * claimed > m and _exact_order(q, m, claimed):
+            groups.setdefault((m, claimed), []).append(i)
+    out: list = [None] * len(pairs)
+    for (m, c), group in groups.items():
+        if len(group) > 1:
+            for i, found in zip(group, _scan_group(q, n, m, c, [pairs[i][0] for i in group])):
+                out[i] = found
+    return [
+        found or _orbit_leader(q, n, rep, claimed)
+        for found, (rep, claimed) in zip(out, pairs)
+    ]
+
+
+def _scan_group(q: int, n: int, m: int, c: int, reps) -> list[tuple[int, int]]:
+    """(leader, c) of each rep g*u, g = n/m, whose orbit has exactly c
+    elements mod n.
+
+    The orbit is g times the coset u*H of H = <q> in (Z/m)*, so its
+    leader is g*r for the least r >= 1 with r*u^-1 mod m in H. H is
+    marked in a bitmap of m bits, c steps from 1; the bitmap lives for
+    this call only, so at most n/8 bytes are held. The scan steps
+    x = r*u^-1 mod m for r = 1, 2, ... until x lies in H. A scan that
+    passes c steps with no hit falls back to the counted walk.
+    """
+    bits = bytearray((m >> 3) + 1)
+    h = 1
+    for _ in repeat(None, c):
+        bits[h >> 3] |= 1 << (h & 7)
+        h = h * q % m
+    g = n // m
+    out = []
+    for rep in reps:
+        v = pow(rep // g, -1, m)
+        x = 0
+        for r in range(1, c + 1):
+            x += v
+            if x >= m:
+                x -= m
+            if bits[x >> 3] >> (x & 7) & 1:
+                out.append((g * r, c))
+                break
+        else:
+            out.append(_orbit_leader(q, n, rep, c))
+    return out
 
 
 def _check_walk(q: int, n: int, start: int) -> None:
@@ -192,10 +261,14 @@ class CosetPartition:
         return [c.rep for c in self.cosets]
 
     def leader_map(self) -> dict[int, int]:
-        """leader -> size for every coset. The walks take n steps in all,
-        so n is capped at ORACLE_CAP before the first one."""
-        _check_total_walk(self.n)
-        return {c.leader(): c.size for c in self.cosets}
+        """leader -> size for every coset: {c.leader(): c.size for c in
+        self.cosets}. A coset with `elements` gives their minimum; the
+        others' leaders come together from `_leaders`, by a scan of <q>
+        mod m, m = n/gcd(rep, n), for long orbits and a walk for the rest.
+        The scan is exact because gcd(u, m) = 1 for a rep g*u and its
+        orbit is g*(u*<q> mod m). n is capped at ORACLE_CAP before the
+        first step."""
+        return dict(zip(_partition_leaders(self), (c.size for c in self.cosets)))
 
     def validate(self) -> None:
         """Hold every (rep, size) against the true orbits with the check
@@ -215,6 +288,24 @@ class CosetPartition:
             raise AssertionError(f"coset disagrees with the orbits mod {self.n}: {mismatches[0]}")
         if reps != sorted(reps):
             raise AssertionError("cosets are not sorted by representative")
+
+
+def _partition_leaders(part: CosetPartition) -> list[int]:
+    """`c.leader()` for every coset c of `part`, in order.
+
+    A coset with stored `elements` gives their minimum, and one that
+    carries another q or n its own `leader()`. The rest go to one
+    `_leaders` call, after n is capped at ORACLE_CAP and q is checked
+    coprime to n, as `leader()` would.
+    """
+    q, n = part.q, part.n
+    _check_total_walk(n)
+    grouped = [c.elements is None and c.q == q and c.n == n for c in part.cosets]
+    if any(grouped):
+        _require_coprime(q, n)
+    pairs = [(c.rep % n, c.size) for c, g in zip(part.cosets, grouped) if g]
+    found = iter(_leaders(q, n, pairs))
+    return [next(found)[0] if g else c.leader() for c, g in zip(part.cosets, grouped)]
 
 
 def coset_of(q: int, n: int, gamma: int) -> CyclotomicCoset:
@@ -282,22 +373,25 @@ def _orbit_mismatches(q, n, pairs) -> list[tuple]:
     """Mismatches of (rep, size) pairs, reps in [0, n), against the true
     orbits, as `tower.VerificationReport.mismatches` defines them.
 
-    `_orbit_leader` walks the orbit of each rep once, in the order given.
-    A claimed size that q's exact order certifies is walked as a counted
-    loop; any other claim is walked open, so its true length is what gets
-    reported.
+    `_leaders` finds the leader and true length of each rep's orbit: a
+    claimed size that q's exact order certifies is that length, and the
+    leader comes from a scan of <q> mod m shared by the reps of the same
+    m = n/gcd(rep, n) when the orbit is long, else from a counted walk;
+    any other claim is walked open, so its true length is what gets
+    reported. The scan is exact: gcd(u, m) = 1 for the rep g*u, and its
+    orbit is g*(u*<q> mod m).
     A rep whose leader an earlier rep already reached lies in that rep's
     orbit. Distinct orbits are disjoint, so when the lengths of the
     orbits reached add up to n, no orbit was missed; only when they fall
     short does one `_orbit_sweep` find the missed orbits. Memory stays
-    O(number of pairs) unless an orbit was missed.
+    O(number of pairs) plus one bitmap of at most n/8 bytes unless an
+    orbit was missed.
     """
     _require_coprime(q, n)
     leaders: set[int] = set()
     total = 0
     out = []
-    for rep, claimed in pairs:
-        lead, length = _orbit_leader(q, n, rep, claimed)
+    for (rep, claimed), (lead, length) in zip(pairs, _leaders(q, n, pairs)):
         seen = lead in leaders
         if seen or length != claimed:
             out.append((lead, rep, length, claimed))

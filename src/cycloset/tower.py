@@ -125,8 +125,9 @@ class VerificationReport:
     or whose size is wrong, in partition order, then the orbits no rep
     reached, ascending by leader (`cosets._orbit_mismatches`).
     `structured_seconds` times `enumerate_cosets`; `naive_seconds` times
-    the oracle's walks and comparison, including the order certificates
-    not already cached and the sweep for missed orbits when there is one.
+    the oracle's leader search (subgroup scans and orbit walks) and
+    comparison, including the order certificates not already cached and
+    the sweep for missed orbits when there is one.
     """
 
     q: int
@@ -142,15 +143,17 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
     """Compare enumerate_cosets against the orbit oracle as partitions.
 
     The structured path runs first. Then `cosets._orbit_mismatches`
-    walks the true orbit of each structured rep once, in partition
-    order, keeping only its leader and length. Where q has exact order
-    equal to the claimed size (modulo n/gcd(rep, n), checked with `pow`
-    alone and cached across calls), that walk is a counted loop of
-    exactly that many steps; otherwise it walks until the orbit returns.
-    The residues are swept for missed orbits only when the distinct
-    orbits reached do not cover all n; a matching partition costs
-    nothing per residue. n above `oracle_cap` is refused before either
-    path runs.
+    finds the leader and true length of each structured rep's orbit.
+    Where q has exact order equal to the claimed size c modulo
+    m = n/gcd(rep, n) (checked with `pow` alone and cached across
+    calls), the orbit of rep = g*u is g*(u*<q> mod m) with
+    gcd(u, m) = 1, so its leader is g*r for the least r with r*u^-1 mod
+    m in <q>: reps sharing m scan for r against one bitmap of <q> mod m
+    when c*c > m, and take a counted walk of c steps otherwise. Any
+    other claim is walked until the orbit returns. The residues are swept
+    for missed orbits only when the distinct orbits reached do not cover
+    all n; a matching partition holds at most n/8 bytes per call, for the
+    bitmap. n above `oracle_cap` is refused before either path runs.
     """
     _check_qn(q, n)
     _check_total_walk(n, oracle_cap)

@@ -7,6 +7,7 @@ import random
 import re
 import signal
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -301,6 +302,62 @@ def test_leader_map_refuses_past_the_oracle_cap_before_any_walk(monkeypatch):
     cap = CosetPartition(2, ORACLE_CAP + 1, (CyclotomicCoset(2, ORACLE_CAP + 1, 0, 1),))
     with pytest.raises(CapacityError, match="oracle cap"):
         cap.leader_map()
+
+
+def _grid(seed, count):
+    """Seeded (q, n): q a prime power <= 49, n < 3000, q coprime to n."""
+    rng = random.Random(seed)
+    qs = [q for q in range(2, 50) if len(factorize(q)) == 1]
+    out = []
+    while len(out) < count:
+        q, n = rng.choice(qs), rng.randrange(1, 3000)
+        if math.gcd(q, n) == 1:
+            out.append((q, n))
+    return out
+
+
+def test_leaders_match_the_orbit_walk_on_every_path(monkeypatch):
+    # the walk stays the reference: every structured rep, then random reps
+    # claiming their true length, twice or half of it, 0, 3.0 and [3]
+    scan_group, orbit_leader = cosets._scan_group, cosets._orbit_leader
+    calls = Counter()
+
+    def counted_scan(q, n, m, c, reps):
+        calls["scanned"] += len(reps)
+        walks = calls["walks"]
+        out = scan_group(q, n, m, c, reps)
+        calls["fallbacks"] += calls["walks"] - walks
+        return out
+
+    def counted_walk(*args):
+        calls["walks"] += 1
+        return orbit_leader(*args)
+
+    rng = random.Random(19)
+    for q, n in _grid(19, 300):
+        pairs = _enumerate_pairs(q, n)
+        for _ in range(6):
+            x = rng.randrange(n)
+            size = size_of(q, n, x)
+            pairs.append((x, rng.choice([size, 2 * size, size // 2, 0, 3.0, [3]])))
+        expected = [orbit_leader(q, n, r, c) for r, c in pairs]
+        with monkeypatch.context() as patch:
+            patch.setattr(cosets, "_scan_group", counted_scan)
+            patch.setattr(cosets, "_orbit_leader", counted_walk)
+            assert cosets._leaders(q, n, pairs) == expected, (q, n)
+    hits = calls["scanned"] - calls["fallbacks"]
+    plain = calls["walks"] - calls["fallbacks"]
+    assert hits > 1_000 and calls["fallbacks"] > 50 and plain > 1_000, calls
+
+
+def test_leader_map_is_the_map_of_coset_leaders():
+    for q, n in _grid(20, 150):
+        parts = [enumerate_cosets(q, n), enumerate_naive(q, n, materialize=True)]
+        # stored elements on every other coset of the structured partition
+        mixed = [coset_of(q, n, c.rep) if i % 2 else c for i, c in enumerate(parts[0].cosets)]
+        parts.append(CosetPartition(q, n, tuple(mixed)))
+        for part in parts:
+            assert part.leader_map() == {c.leader(): c.size for c in part.cosets}, (q, n)
 
 
 def test_orbit_sweep_walks_starts_first():

@@ -372,6 +372,34 @@ def test_verify_memory_is_independent_of_n():
     assert peak < 16 * 1024, peak
 
 
+def test_verify_scans_for_most_leaders_with_an_eighth_byte_per_residue(monkeypatch):
+    # most of the 1,386 orbits are long enough that their leaders come
+    # from a scan of <q> mod m, m <= n, marked in one bitmap of m bits;
+    # the rest of the peak is what a walk of every orbit already held
+    # (about 364 kB), so the slack is 400 KiB
+    n = 2**5 * 3**5 * 7**3
+    verify(5, n)  # warm caches
+    walked = []
+    orbit_leader = cosets._orbit_leader
+
+    def counted(*args):
+        walked.append(args[2])
+        return orbit_leader(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cosets, "_orbit_leader", counted)
+        report = verify(5, n)
+    assert report.match and report.coset_count == 1386
+    assert len(walked) < 1386 // 2, len(walked)
+    tracemalloc.start()
+    try:
+        assert verify(5, n).match
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n // 8 + 400 * 1024, peak
+
+
 def test_structured_path_is_fast():
     enumerate_cosets(5, 3888)  # warm caches
     t0 = time.perf_counter()

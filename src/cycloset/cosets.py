@@ -6,18 +6,23 @@ single orbit, `_orbit_leader` streams one orbit for its least element and
 length, and `size_of` gives the orbit length without walking.
 `_orbit_mismatches` holds claimed (rep, size) pairs against the true
 orbits; `CosetPartition.validate` and `tower.verify` both rest on it.
-Given a claimed length, `_orbit_leader` first certifies it with
-`_exact_order` (a few `pow`s and the factorization of the claim, never
-`mul_order`, cached like `mul_order`): a certified claim is the true
-length, so the walk is a counted loop with no return test; any other
-claim gets the open walk.
+It first asks `_is_partition`, which proves a matching partition without
+finding any leader: the orbit of x = g*u, g = gcd(x, n), is
+g*(u*<q> mod m) with m = n/g and gcd(u, m) = 1, so every rep with that m
+has an orbit of ord_m(q) elements, certified by `_exact_order` (a few
+`pow`s and the factorization of the claim, never `mul_order`, cached like
+`mul_order`); the claims must add up to n; and no two reps of one m may
+share an orbit, which a baby-step giant-step search decides in about
+2*sqrt(c) steps per rep for orbits of c elements (`_shares_an_orbit`).
+Only when that fails are leaders found, to report what is wrong.
 `_leaders` gives what `_orbit_leader` gives for many reps at once, and
-`_orbit_mismatches` and `leader_map` read it. For long orbits it scans
-instead of walking: the orbit of x = g*u, g = gcd(x, n), is
-g*(u*<q> mod m) with m = n/g and gcd(u, m) = 1, a coset of the subgroup
-<q> of (Z/m)*, so its leader is g*r for the least r >= 1 with
-r*u^-1 mod m in <q>. One bitmap of <q> mod m, at most n/8 bytes, serves
-every rep with that m.
+the mismatch report and `leader_map` read it. Given a claimed length,
+`_orbit_leader` first certifies it: a certified claim is the true length,
+so the walk is a counted loop with no return test; any other claim gets
+the open walk. For long orbits `_leaders` scans instead of walking: the
+orbit g*(u*<q> mod m) is g times a coset of the subgroup <q> of (Z/m)*,
+so its leader is g*r for the least r >= 1 with r*u^-1 mod m in <q>. One
+bitmap of <q> mod m, at most n/8 bytes, serves every rep with that m.
 Every walk needs gcd(q, n) = 1, since x -> q*x is no permutation of Z/nZ
 otherwise and a walk from x may never come back to x; each caller checks
 that before the first step.
@@ -67,12 +72,18 @@ def _orbit_leader(q: int, n: int, x: int, claimed: int = 0) -> tuple[int, int]:
         raise ValueError(f"{x} lies outside [0, {n})")
     if type(claimed) is not int or not _exact_order(q, n // math.gcd(x, n), claimed):
         return _open_walk(q, n, x)
-    lead = y = x
-    for _ in repeat(None, claimed - 1):
-        y = y * q % n
-        if y < lead:
-            lead = y
-    return lead, claimed
+    return _counted_leader(q, n, x, claimed), claimed
+
+
+def _counted_leader(q: int, n: int, x: int, c: int) -> int:
+    """Least element of the orbit of x mod n, which has exactly c
+    elements: c - 1 steps with no return test."""
+    lead = x
+    for _ in repeat(None, c - 1):
+        x = x * q % n
+        if x < lead:
+            lead = x
+    return lead
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -369,25 +380,107 @@ def _orbit_sweep(q, n, starts=()):
     return reps, sizes
 
 
+def _is_partition(q: int, n: int, pairs) -> bool:
+    """Whether the (rep, size) pairs are exactly the orbits mod n, one
+    pair per orbit, decided without finding any leader. True only if:
+
+    1. every claim is an int that `_exact_order` certifies, once per
+       distinct m = n/gcd(rep, n): every rep g*u of that m has an orbit
+       of ord_m(q) elements, so a second, different claim for m is wrong;
+    2. the claims add up to n;
+    3. no two reps of one m share an orbit (`_shares_an_orbit`).
+
+    Reps of different m never share an orbit, since gcd(x, n) is the same
+    for every x in one, so 1 and 3 make the orbits reached distinct and of
+    the claimed lengths, and 2 makes them cover Z/nZ. False says only that
+    the check failed; a rep outside [0, n) gives False, and the caller
+    finds out what is wrong.
+    """
+    claims: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
+    total = 0
+    for rep, claimed in pairs:
+        if not 0 <= rep < n or type(claimed) is not int:
+            return False
+        m = n // math.gcd(rep, n)
+        if claims.setdefault(m, claimed) != claimed:
+            return False
+        groups.setdefault(m, []).append(rep)
+        total += claimed
+    if total != n or not all(_exact_order(q, m, c) for m, c in claims.items()):
+        return False
+    return not any(
+        _shares_an_orbit(q, n, claims[m], reps) for m, reps in groups.items() if len(reps) > 1
+    )
+
+
+_BSGS_ENTRIES = 4096  # most baby steps `_shares_an_orbit` holds at once
+
+
+def _shares_an_orbit(q: int, n: int, c: int, reps) -> bool:
+    """Whether two of the reps, whose orbits mod n all have exactly c
+    elements, lie in one orbit.
+
+    Shanks' baby-step giant-step: the first b elements x*q**i of every
+    rep's orbit go into one dict {element: index}, with b about sqrt(c)
+    and at most _BSGS_ENTRIES entries in all. x' = x*q**t for some
+    0 <= t < c exactly when some giant step x'*q**(-b*j),
+    0 <= j <= (c-1)//b, is a baby step of x; j = 0 is x' itself, met on
+    insert. A step that meets another rep's index is a shared orbit; one
+    that meets its own rep's is not, since q**(b*j) may wrap round the
+    orbit. When walking each orbit for its least element costs no more
+    (c <= b + (c-1)//b), the leaders go into a set instead
+    (`_leaders_collide`).
+    """
+    b = max(1, min(math.isqrt(c - 1) + 1, _BSGS_ENTRIES // len(reps)))
+    giant = (c - 1) // b
+    if c <= b + giant:
+        return _leaders_collide(q, n, c, reps)
+    baby: dict[int, int] = {}
+    for i, x in enumerate(reps):
+        for _ in repeat(None, b):
+            if baby.setdefault(x, i) != i:
+                return True
+            x = x * q % n
+    step = pow(q, -b, n)
+    for i, x in enumerate(reps):
+        for _ in repeat(None, giant):
+            x = x * step % n
+            if baby.get(x, i) != i:
+                return True
+    return False
+
+
+def _leaders_collide(q: int, n: int, c: int, reps) -> bool:
+    """Whether two of the reps, whose orbits mod n all have exactly c
+    elements, have the same least element: a counted walk per rep."""
+    return len({_counted_leader(q, n, x, c) for x in reps}) < len(reps)
+
+
 def _orbit_mismatches(q, n, pairs) -> list[tuple]:
     """Mismatches of (rep, size) pairs, reps in [0, n), against the true
     orbits, as `tower.VerificationReport.mismatches` defines them.
 
-    `_leaders` finds the leader and true length of each rep's orbit: a
-    claimed size that q's exact order certifies is that length, and the
-    leader comes from a scan of <q> mod m shared by the reps of the same
-    m = n/gcd(rep, n) when the orbit is long, else from a counted walk;
-    any other claim is walked open, so its true length is what gets
-    reported. The scan is exact: gcd(u, m) = 1 for the rep g*u, and its
-    orbit is g*(u*<q> mod m).
+    When `_is_partition` holds there are none, and no leader is found: a
+    matching partition costs a certificate per m and an orbit-collision
+    test per m, with at most _BSGS_ENTRIES baby steps held. Otherwise
+    `_leaders` finds the leader and true length of each rep's orbit, and
+    every mismatch comes from them: a claimed size that q's exact order
+    certifies is that length, and the leader comes from a scan of <q>
+    mod m shared by the reps of the same m = n/gcd(rep, n) when the orbit
+    is long, else from a counted walk; any other claim is walked open, so
+    its true length is what gets reported. The scan is exact: gcd(u, m) = 1
+    for the rep g*u, and its orbit is g*(u*<q> mod m).
     A rep whose leader an earlier rep already reached lies in that rep's
     orbit. Distinct orbits are disjoint, so when the lengths of the
     orbits reached add up to n, no orbit was missed; only when they fall
-    short does one `_orbit_sweep` find the missed orbits. Memory stays
-    O(number of pairs) plus one bitmap of at most n/8 bytes unless an
-    orbit was missed.
+    short does one `_orbit_sweep` find the missed orbits. A mismatching
+    partition holds O(number of pairs) plus one bitmap of at most n/8
+    bytes unless an orbit was missed.
     """
     _require_coprime(q, n)
+    if _is_partition(q, n, pairs):
+        return []
     leaders: set[int] = set()
     total = 0
     out = []

@@ -4,7 +4,8 @@ of Z/1Z through one prime-power tower per prime factor.
 `enumerate_cosets` never walks an orbit; every representative and size
 comes from the closed-form branch slices. `verify` runs the structured
 path first, then holds its (rep, size) pairs against the true orbits
-with the oracle's one partition check (`cosets._orbit_mismatches`).
+with the oracle's one partition check (`cosets._orbit_mismatches`),
+which finds orbit leaders only when the pairs do not match.
 `splitting_tree` draws the one-step splits of every coset down an
 ell-power tower, reading every node's children from one set of branch
 plans.
@@ -124,10 +125,13 @@ class VerificationReport:
     first the structured cosets whose rep repeats an earlier coset's orbit
     or whose size is wrong, in partition order, then the orbits no rep
     reached, ascending by leader (`cosets._orbit_mismatches`).
-    `structured_seconds` times `enumerate_cosets`; `naive_seconds` times
-    the oracle's leader search (subgroup scans and orbit walks) and
-    comparison, including the order certificates not already cached and
-    the sweep for missed orbits when there is one.
+    `structured_seconds` times `_enumerate_pairs`, the (rep, size) pairs
+    of `enumerate_cosets` without the coset objects. `naive_seconds` times
+    the oracle's leader-free check (`cosets._is_partition`: the order
+    certificates not already cached, the total and the orbit-collision
+    tests), plus, only on a mismatch, the leader search (subgroup scans
+    and orbit walks), the comparison and the sweep for missed orbits when
+    there is one.
     """
 
     q: int
@@ -142,27 +146,30 @@ class VerificationReport:
 def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
     """Compare enumerate_cosets against the orbit oracle as partitions.
 
-    The structured path runs first. Then `cosets._orbit_mismatches`
-    finds the leader and true length of each structured rep's orbit.
-    Where q has exact order equal to the claimed size c modulo
-    m = n/gcd(rep, n) (checked with `pow` alone and cached across
-    calls), the orbit of rep = g*u is g*(u*<q> mod m) with
-    gcd(u, m) = 1, so its leader is g*r for the least r with r*u^-1 mod
-    m in <q>: reps sharing m scan for r against one bitmap of <q> mod m
-    when c*c > m, and take a counted walk of c steps otherwise. Any
-    other claim is walked until the orbit returns. The residues are swept
-    for missed orbits only when the distinct orbits reached do not cover
-    all n; a matching partition holds at most n/8 bytes per call, for the
-    bitmap. n above `oracle_cap` is refused before either path runs.
+    The structured path runs first, as `_enumerate_pairs`, which builds no
+    coset object. Then `cosets._orbit_mismatches` holds its pairs against
+    the true orbits. A matching partition is proved without any leader
+    (`cosets._is_partition`): each claimed size c is the exact order of q
+    modulo m = n/gcd(rep, n), checked with `pow` alone once per m and
+    cached across calls; the sizes add up to n; and no two reps of one m
+    share an orbit, decided per m by a baby-step giant-step search over
+    the orbits g*(u*<q> mod m), or by walking them when they are short.
+    Only a mismatching partition gets the leader search that reports it:
+    leaders from one bitmap scan of <q> mod m per m for long orbits and
+    counted walks otherwise, open walks for claims that are not the exact
+    order, and a sweep of the residues when the distinct orbits reached
+    do not cover all n. A matching partition holds, beyond its pairs, a
+    claim and a rep list per m and at most `cosets._BSGS_ENTRIES` baby
+    steps, or one leader per coset of the walked groups. n above
+    `oracle_cap` is refused before either path runs.
     """
     _check_qn(q, n)
     _check_total_walk(n, oracle_cap)
 
     t0 = time.perf_counter()
-    part = enumerate_cosets(q, n)
+    pairs = _enumerate_pairs(q, n)
     structured_seconds = time.perf_counter() - t0
 
-    pairs = [(c.rep, c.size) for c in part.cosets]
     t0 = time.perf_counter()
     mismatches = _orbit_mismatches(q, n, pairs)
     naive_seconds = time.perf_counter() - t0

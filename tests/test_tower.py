@@ -3,6 +3,7 @@ import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -131,16 +132,17 @@ def test_verify_checks_arguments_before_sweep(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("verify did work before the argument checks")
 
-    monkeypatch.setattr(tower, "enumerate_cosets", no_work)
-    monkeypatch.setattr(tower, "_orbit_mismatches", no_work)
-    with pytest.raises(ValueError, match="6 is not a prime power"):
-        verify(6, 9999991)
-    with pytest.raises(ValueError, match="n must be positive"):
-        verify(5, 0)
-    with pytest.raises(ValueError, match="must be 1"):
-        verify(5, 10)
-    with pytest.raises(CapacityError):
-        verify(3, 2**63)
+    with monkeypatch.context() as patch:
+        patch.setattr(tower, "_enumerate_pairs", no_work)
+        patch.setattr(tower, "_orbit_mismatches", no_work)
+        with pytest.raises(ValueError, match="6 is not a prime power"):
+            verify(6, 9999991)
+        with pytest.raises(ValueError, match="n must be positive"):
+            verify(5, 0)
+        with pytest.raises(ValueError, match="must be 1"):
+            verify(5, 10)
+        with pytest.raises(CapacityError):
+            verify(3, 2**63)
 
 
 def test_verify_cap():
@@ -210,41 +212,147 @@ def _sweep_mismatches(q, n, pairs):
     return out
 
 
-def test_orbit_mismatches_match_the_sweep_reference():
+WITHIN, DUP_SIZED, EXTRA_DUP, LISTED_TWICE, SWAPPED, TWO_DROPPED = range(4, 10)
+CLAIMS = (
+    float,
+    lambda s: 0,
+    lambda s: 2 * s,  # a proper multiple of the size: q**size is still 1
+    lambda s: 3 * s,
+    lambda s: s // 2,
+    lambda s: s // factorize(s)[-1][0] if s > 1 else s,  # the size over a prime factor
+    lambda s: -s,
+)
+
+
+def _same_m_partner(q, n, pairs, i, rng):
+    """Index of another pair whose rep has the same n/gcd(rep, n) as pair
+    i, if there is one, else of any pair: a duplicate of it then passes
+    the size certificates and often the total, so only the orbit
+    collision test can refuse it."""
+    m = n // math.gcd(pairs[i][0], n)
+    same = [j for j, (rep, _) in enumerate(pairs) if j != i and n // math.gcd(rep, n) == m]
+    return rng.choice(same) if same else rng.randrange(len(pairs))
+
+
+def _corrupt_pairs(part, kind, rng):
+    """(rep, size) pairs of part, unchanged for kind -1, else with one
+    corruption of the given kind."""
+    q, n = part.q, part.n
+    pairs = [(c.rep, c.size) for c in part.cosets]
+    i = rng.randrange(len(pairs))
+    rep, size = pairs[i]
+    if kind in (SIZE_UP, DROPPED, MOVED, RANDOM_REP):
+        pairs = [(c.rep, c.size) for c in _corrupt(part, kind, i, rng).cosets]
+    elif kind == WITHIN:  # another element of the same orbit: still a match
+        pairs[i] = (rng.choice(_orbit(q, n, rep)), size)
+    elif kind == DUP_SIZED:  # a rep of another orbit, with that orbit's size
+        other, other_size = pairs[_same_m_partner(q, n, pairs, i, rng)]
+        pairs[i] = (rng.choice(_orbit(q, n, other)), other_size)
+    elif kind == EXTRA_DUP:  # one more rep of an orbit already listed
+        other, other_size = pairs[_same_m_partner(q, n, pairs, i, rng)]
+        pairs.insert(rng.randrange(len(pairs) + 1), (rng.choice(_orbit(q, n, other)), other_size))
+    elif kind == LISTED_TWICE:
+        pairs.insert(rng.randrange(len(pairs) + 1), pairs[i])
+    elif kind == SWAPPED:  # two sizes traded: the total stays n
+        j = rng.randrange(len(pairs))
+        pairs[i], pairs[j] = (rep, pairs[j][1]), (pairs[j][0], size)
+    elif kind == TWO_DROPPED:
+        del pairs[i]
+        if pairs:
+            del pairs[rng.randrange(len(pairs))]
+    elif kind > TWO_DROPPED:
+        pairs[i] = (rep, CLAIMS[kind - TWO_DROPPED - 1](size))
+    return pairs
+
+
+def test_orbit_mismatches_match_the_sweep_reference(monkeypatch):
+    # the leader-free check in front of the report (`_is_partition`) is
+    # never True on a mismatch and always True on a match with int claims,
+    # also with the baby-step budget forced down so that the walk branch,
+    # b = 1 and small b run
     rng = random.Random(9)
-    qs = [q for q in range(2, 50) if len(factorize(q)) == 1]
+    qs = [q for q in range(2, 64) if len(factorize(q)) == 1]
+    caps = (1, 2, 8, cosets._BSGS_ENTRIES)
+    kinds = range(-1, TWO_DROPPED + 1 + len(CLAIMS))
     seen_kinds = set()
-    mismatched = 0
-    for _ in range(600):
-        q, n = rng.choice(qs), rng.randrange(1, 3000)
+    cases = mismatched = 0
+    while cases < 2_000:
+        q, n = rng.choice(qs), rng.randrange(1, rng.choice((300, 3_000, 30_000)))
         if math.gcd(q, n) != 1:
             continue
-        part = enumerate_cosets(q, n)
-        pairs = [(c.rep, c.size) for c in part.cosets]
-        kind = rng.randrange(-1, 9)
-        i = rng.randrange(len(pairs))
-        if kind in (SIZE_UP, DROPPED, MOVED, RANDOM_REP):
-            pairs = [(c.rep, c.size) for c in _corrupt(part, kind, i, rng).cosets]
-        elif kind == 4:  # a rep listed twice
-            pairs.insert(rng.randrange(len(pairs) + 1), pairs[i])
-        elif kind == 5:  # a claimed size of 0
-            pairs[i] = (pairs[i][0], 0)
-        elif kind == 6:  # two cosets dropped
-            del pairs[i]
-            if pairs:
-                del pairs[rng.randrange(len(pairs))]
-        elif kind == 7:  # a proper multiple of the size: q**size is still 1
-            pairs[i] = (pairs[i][0], pairs[i][1] * rng.choice((2, 3)))
-        elif kind == 8:  # the size over one of its prime factors, if it has one
-            rep, size = pairs[i]
-            if size > 1:
-                pairs[i] = (rep, size // rng.choice(factorize(size))[0])
-        seen_kinds.add(kind)
+        kind = rng.choice(kinds)
+        pairs = _corrupt_pairs(enumerate_cosets(q, n), kind, rng)
         expected = _sweep_mismatches(q, n, pairs)
-        assert _orbit_mismatches(q, n, pairs) == expected, (q, n, kind)
+        int_claims = all(type(c) is int for _, c in pairs)
+        for cap in caps:
+            with monkeypatch.context() as patch:
+                patch.setattr(cosets, "_BSGS_ENTRIES", cap)
+                verdict = cosets._is_partition(q, n, pairs)
+                assert not (verdict and expected), (q, n, kind, cap)
+                assert verdict or expected or not int_claims, (q, n, kind, cap)
+                if cap == caps[cases % len(caps)]:
+                    assert _orbit_mismatches(q, n, pairs) == expected, (q, n, kind, cap)
+        seen_kinds.add(kind)
         mismatched += bool(expected)
-    assert seen_kinds == set(range(-1, 9))
-    assert mismatched > 300
+        cases += 1
+    assert seen_kinds == set(kinds)
+    assert 1_000 < mismatched < 1_700, mismatched
+
+
+def _collision_tests(monkeypatch, cap, grid):
+    """(walked, stepped) counts of groups `_shares_an_orbit` tested under
+    the given baby-step budget, each split by verdict, over the grid's
+    matching partitions and their duplicates."""
+    counts = Counter()
+
+    def counted(name):
+        test = getattr(cosets, name)
+
+        def run(*args):
+            verdict = test(*args)
+            counts[name, verdict] += 1
+            return verdict
+
+        return run
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cosets, "_BSGS_ENTRIES", cap)
+        for name in ("_leaders_collide", "_shares_an_orbit"):
+            patch.setattr(cosets, name, counted(name))
+        for q, n, pairs in grid:
+            cosets._is_partition(q, n, pairs)
+    walked = {v: counts["_leaders_collide", v] for v in (False, True)}
+    return {v: (walked[v], counts["_shares_an_orbit", v] - walked[v]) for v in (False, True)}
+
+
+def test_both_collision_branches_run_and_refuse_a_duplicate(monkeypatch):
+    # each matching partition once as it is, once with a rep replaced by
+    # another rep's orbit mate of the same m and size
+    rng = random.Random(21)
+    qs = [q for q in range(2, 64) if len(factorize(q)) == 1]
+    grid = []
+    dups = 0
+    while len(grid) < 400:
+        q, n = rng.choice(qs), rng.randrange(1, 30_000)
+        if math.gcd(q, n) != 1:
+            continue
+        pairs = tower._enumerate_pairs(q, n)
+        grid.append((q, n, pairs))
+        i = rng.randrange(len(pairs))
+        j = _same_m_partner(q, n, pairs, i, rng)
+        if j != i and pairs[j][1] == pairs[i][1]:
+            dup = list(pairs)
+            dup[i] = (rng.choice(_orbit(q, n, pairs[j][0])), pairs[j][1])
+            grid.append((q, n, dup))
+            dups += 1
+    default = _collision_tests(monkeypatch, cosets._BSGS_ENTRIES, grid)
+    (walked, stepped), (walked_dup, stepped_dup) = default[False], default[True]
+    assert walked and stepped > 100 and walked_dup and stepped_dup > 20, default
+    assert walked_dup + stepped_dup == dups > 100, (dups, default)
+    for cap in (1, 2):
+        forced = _collision_tests(monkeypatch, cap, grid)
+        assert forced[False][1] == forced[True][1] == 0, (cap, forced)
+        assert forced[True][0] == walked_dup + stepped_dup, (cap, forced)
 
 
 def test_a_correct_partition_never_takes_the_open_walk(monkeypatch):
@@ -271,8 +379,12 @@ def test_a_correct_partition_never_takes_the_open_walk(monkeypatch):
 
 
 def _verify_with(monkeypatch, part):
-    monkeypatch.setattr(tower, "enumerate_cosets", lambda q, n: part)
-    return verify(part.q, part.n)
+    # scoped, or every later enumerate_cosets call in the same test would
+    # return the injected pairs too
+    with monkeypatch.context() as patch:
+        pairs = [(c.rep, c.size) for c in part.cosets]
+        patch.setattr(tower, "_enumerate_pairs", lambda q, n: pairs)
+        return verify(part.q, part.n)
 
 
 def test_verify_report_matches_leader_reference(monkeypatch):
@@ -360,7 +472,7 @@ def test_verify_memory_is_one_byte_per_residue():
 
 def test_verify_memory_is_independent_of_n():
     # 2 is a primitive root mod 3**k, so 3**12 has only 13 cosets: a
-    # matching verify keeps a leader and a length per coset, nothing per
+    # matching verify keeps a claim per m and a rep per coset, nothing per
     # residue (a visited byte per residue alone would be 531,441 B)
     verify(2, 3**12)  # warm caches
     tracemalloc.start()
@@ -372,13 +484,14 @@ def test_verify_memory_is_independent_of_n():
     assert peak < 16 * 1024, peak
 
 
-def test_verify_scans_for_most_leaders_with_an_eighth_byte_per_residue(monkeypatch):
+def test_leader_map_scans_for_most_leaders_with_an_eighth_byte_per_residue(monkeypatch):
     # most of the 1,386 orbits are long enough that their leaders come
     # from a scan of <q> mod m, m <= n, marked in one bitmap of m bits;
-    # the rest of the peak is what a walk of every orbit already held
-    # (about 364 kB), so the slack is 400 KiB
+    # beyond the bitmap the peak holds a pair and a leader per coset, so
+    # the slack is 400 KiB
     n = 2**5 * 3**5 * 7**3
-    verify(5, n)  # warm caches
+    part = enumerate_cosets(5, n)
+    part.leader_map()  # warm caches
     walked = []
     orbit_leader = cosets._orbit_leader
 
@@ -388,16 +501,43 @@ def test_verify_scans_for_most_leaders_with_an_eighth_byte_per_residue(monkeypat
 
     with monkeypatch.context() as patch:
         patch.setattr(cosets, "_orbit_leader", counted)
-        report = verify(5, n)
-    assert report.match and report.coset_count == 1386
+        leaders = part.leader_map()
+    assert len(leaders) == 1386 and sum(leaders.values()) == n
     assert len(walked) < 1386 // 2, len(walked)
+    tracemalloc.start()
+    try:
+        part.leader_map()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n // 8 + 400 * 1024, peak
+
+
+def test_a_matching_verify_finds_no_leader(monkeypatch):
+    # certified sizes, their total and an orbit-collision test per m prove
+    # the partition, so no leader is searched for, and no bitmap is built
+    def no_search(*args):
+        raise AssertionError(f"verify searched for leaders: {args}")
+
+    n = 2**5 * 3**5 * 7**3
+    with monkeypatch.context() as patch:
+        for name in ("_leaders", "_scan_group", "_orbit_leader", "_orbit_sweep"):
+            patch.setattr(cosets, name, no_search)
+        assert verify(5, n).match
+        # 2 is a primitive root mod 3**k: one coset per m, so no group has
+        # two reps to tell apart, and nothing is walked at all
+        for name in ("_shares_an_orbit", "_leaders_collide", "_open_walk"):
+            patch.setattr(cosets, name, no_search)
+        assert verify(2, 3**14).match
+    # a leader search would hold the scan's bitmap of n/8 = 333,396 B on
+    # top of the pairs; the leader-free check holds no bitmap
     tracemalloc.start()
     try:
         assert verify(5, n).match
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n // 8 + 400 * 1024, peak
+    assert peak < 480 * 1024, peak
 
 
 def test_structured_path_is_fast():

@@ -16,7 +16,7 @@ from functools import lru_cache
 CAPACITY = 1 << 63
 TRIAL_LIMIT = 10**4
 # entries kept by each of the two caches: mul_order's, which nearly every
-# call hits, and cosets._exact_order's, the oracle's order certificates;
+# call hits, and orbits._exact_order's, the oracle's order certificates;
 # factorize is not cached, as such a cache saved no time on the benchmark
 # workloads and only raised peak memory
 CACHE_SIZE = 4096

@@ -12,10 +12,11 @@ import math
 import sys
 from operator import itemgetter
 
+from . import orbits
 from .arith import PrimePowerQ, phi_prefix
 from .cosets import ORACLE_CAP, CosetPartition, CyclotomicCoset, _check_total_walk
 from .cosets import _partition_leaders
-from .tower import _enumerate_pairs, enumerate_cosets, splitting_tree, verify
+from .tower import _enumerate_pairs, splitting_tree, verify
 
 _JSON_INT_MAX = 2**53
 _COLUMNS = ("representative", "size", "leader")
@@ -26,9 +27,9 @@ def _jtext(v: int) -> str:
     return str(v) if -_JSON_INT_MAX <= v <= _JSON_INT_MAX else f'"{v}"'
 
 
-def _leader_rows(part: CosetPartition) -> list[tuple[int, int, int]]:
-    rows = zip(part.cosets, _partition_leaders(part))
-    return sorted(((c.rep, c.size, lead) for c, lead in rows), key=itemgetter(2))
+def _leader_rows(pairs, leaders) -> list[tuple[int, int, int]]:
+    rows = ((rep, size, lead) for (rep, size), lead in zip(pairs, leaders))
+    return sorted(rows, key=itemgetter(2))
 
 
 def _render(fmt: str, q: int, n: int, rows: list[tuple[int, ...]], with_leaders: bool) -> str:
@@ -63,10 +64,9 @@ def _render(fmt: str, q: int, n: int, rows: list[tuple[int, ...]], with_leaders:
 
 
 def partition_to_json(part: CosetPartition, with_leaders: bool = False) -> str:
+    rows = [(c.rep, c.size) for c in part.cosets]
     if with_leaders:
-        rows = _leader_rows(part)
-    else:
-        rows = [(c.rep, c.size) for c in part.cosets]
+        rows = _leader_rows(rows, _partition_leaders(part))
     return _render("json", part.q, part.n, rows, with_leaders)[:-1]
 
 
@@ -95,9 +95,9 @@ def cmd_enumerate(args) -> int:
     q = _resolve_q(args)
     if args.with_leaders:
         _check_total_walk(args.n)
-        rows = _leader_rows(enumerate_cosets(q, args.n))
-    else:
-        rows = _enumerate_pairs(q, args.n)
+    rows = _enumerate_pairs(q, args.n)
+    if args.with_leaders:
+        rows = _leader_rows(rows, map(itemgetter(0), orbits._leaders(q, args.n, rows)))
     sys.stdout.write(_render(args.format, q, args.n, rows, args.with_leaders))
     return 0
 

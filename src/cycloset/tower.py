@@ -4,7 +4,7 @@ of Z/1Z through one prime-power tower per prime factor.
 `enumerate_cosets` never walks an orbit; every representative and size
 comes from the closed-form branch slices. `verify` runs the structured
 path first, then holds its (rep, size) pairs against the true orbits
-with the oracle's one partition check (`cosets._orbit_mismatches`),
+with the oracle's one partition check (`orbits._orbit_mismatches`),
 which finds orbit leaders only when the pairs do not match.
 `splitting_tree` draws the one-step splits of every coset down an
 ell-power tower, reading every node's children from one set of branch
@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from .arith import as_prime_power, check_capacity, factorize
 from .cosets import ORACLE_CAP, CosetPartition, CyclotomicCoset, _check_total_walk
-from .cosets import _orbit_mismatches
+from .orbits import _orbit_mismatches
 from .system import (
     SplitKind,
     _check_tower,
@@ -124,13 +124,12 @@ class VerificationReport:
     structured size) tuples, with None on the side that lacks the coset:
     first the structured cosets whose rep repeats an earlier coset's orbit
     or whose size is wrong, in partition order, then the orbits no rep
-    reached, ascending by leader (`cosets._orbit_mismatches`).
+    reached, ascending by leader (`orbits._orbit_mismatches`).
     `structured_seconds` times `_enumerate_pairs`, the (rep, size) pairs
     of `enumerate_cosets` without the coset objects. `naive_seconds` times
-    the oracle's leader-free check (`cosets._is_partition`: the order
-    certificates not already cached, the total and the orbit-collision
-    tests), plus, only on a mismatch, the leader search (subgroup scans
-    and orbit walks), the comparison and the sweep for missed orbits when
+    that check: the leader-free proof (`orbits._is_partition`, with the
+    order certificates not already cached), plus, only on a mismatch, the
+    leader search, the comparison and the sweep for missed orbits when
     there is one.
     """
 
@@ -147,21 +146,14 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
     """Compare enumerate_cosets against the orbit oracle as partitions.
 
     The structured path runs first, as `_enumerate_pairs`, which builds no
-    coset object. Then `cosets._orbit_mismatches` holds its pairs against
-    the true orbits. A matching partition is proved without any leader
-    (`cosets._is_partition`): each claimed size c is the exact order of q
-    modulo m = n/gcd(rep, n), checked with `pow` alone once per m and
-    cached across calls; the sizes add up to n; and no two reps of one m
-    share an orbit, decided per m by a baby-step giant-step search over
-    the orbits g*(u*<q> mod m), or by walking them when they are short.
-    Only a mismatching partition gets the leader search that reports it:
-    leaders from one bitmap scan of <q> mod m per m for long orbits and
-    counted walks otherwise, open walks for claims that are not the exact
-    order, and a sweep of the residues when the distinct orbits reached
-    do not cover all n. A matching partition holds, beyond its pairs, a
-    claim and a rep list per m and at most `cosets._BSGS_ENTRIES` baby
-    steps, or one leader per coset of the walked groups. n above
-    `oracle_cap` is refused before either path runs.
+    coset object. Then `orbits._orbit_mismatches` holds its pairs against
+    the true orbits: a matching partition is proved without any leader,
+    by the proof the `orbits` docstring states, and only a mismatching one
+    gets the leader search that reports it. A matching partition holds,
+    beyond its pairs, a claim and a rep list per m = n/gcd(rep, n) and at
+    most `orbits._BSGS_ENTRIES` baby steps, or one leader per coset of
+    the walked groups. n above `oracle_cap` is refused before either path
+    runs.
     """
     _check_qn(q, n)
     _check_total_walk(n, oracle_cap)

@@ -24,9 +24,10 @@ from cycloset import (
     project,
     size_of,
 )
-import cycloset.cosets as cosets
+import cycloset.orbits as orbits
 from cycloset.arith import CACHE_SIZE
-from cycloset.cosets import ORACLE_CAP, _orbit_leader, _orbit_mismatches, _orbit_sweep
+from cycloset.cosets import ORACLE_CAP
+from cycloset.orbits import _orbit_leader, _orbit_mismatches, _orbit_sweep
 from cycloset.tower import _enumerate_pairs
 
 
@@ -49,7 +50,7 @@ def test_materialize_returns_stored_elements_without_walking(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked an orbit that is already stored")
 
-    monkeypatch.setattr(cosets, "_orbit", no_walk)
+    monkeypatch.setattr(orbits, "_orbit", no_walk)
     assert c.materialize() is c.elements
 
 
@@ -269,8 +270,8 @@ def test_claims_that_are_no_int_are_walked_open():
 
 def test_order_certificate_cache_is_bounded():
     for m in range(3, 3 + 2 * CACHE_SIZE + 200, 2):  # distinct odd moduli
-        cosets._exact_order(2, m, 1)
-    info = cosets._exact_order.cache_info()
+        orbits._exact_order(2, m, 1)
+    info = orbits._exact_order.cache_info()
     assert info.maxsize == CACHE_SIZE
     assert info.currsize == CACHE_SIZE  # full, and no larger
 
@@ -279,7 +280,7 @@ def test_a_certified_claim_is_walked_without_the_open_walk(monkeypatch):
     def no_open_walk(q, n, x):
         raise AssertionError(f"open walk of {x} mod {n}")
 
-    monkeypatch.setattr(cosets, "_open_walk", no_open_walk)
+    monkeypatch.setattr(orbits, "_open_walk", no_open_walk)
     assert [_orbit_leader(5, 16, x, c) for x, c in ((0, 1), (13, 4), (10, 2), (15, 4))] == [
         (0, 1), (1, 4), (2, 2), (3, 4),
     ]
@@ -292,7 +293,7 @@ def test_leader_map_refuses_past_the_oracle_cap_before_any_walk(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(cosets, "_orbit_leader", no_walk)
+    monkeypatch.setattr(orbits, "_orbit_leader", no_walk)
     # every orbit here is short (61 elements at most), but there are
     # n = 2**61 - 1 residues to walk in all
     n = 2**61 - 1
@@ -319,7 +320,7 @@ def _grid(seed, count):
 def test_leaders_match_the_orbit_walk_on_every_path(monkeypatch):
     # the walk stays the reference: every structured rep, then random reps
     # claiming their true length, twice or half of it, 0, 3.0 and [3]
-    scan_group, orbit_leader = cosets._scan_group, cosets._orbit_leader
+    scan_group, orbit_leader = orbits._scan_group, orbits._orbit_leader
     calls = Counter()
 
     def counted_scan(q, n, m, c, reps):
@@ -342,9 +343,9 @@ def test_leaders_match_the_orbit_walk_on_every_path(monkeypatch):
             pairs.append((x, rng.choice([size, 2 * size, size // 2, 0, 3.0, [3]])))
         expected = [orbit_leader(q, n, r, c) for r, c in pairs]
         with monkeypatch.context() as patch:
-            patch.setattr(cosets, "_scan_group", counted_scan)
-            patch.setattr(cosets, "_orbit_leader", counted_walk)
-            assert cosets._leaders(q, n, pairs) == expected, (q, n)
+            patch.setattr(orbits, "_scan_group", counted_scan)
+            patch.setattr(orbits, "_orbit_leader", counted_walk)
+            assert orbits._leaders(q, n, pairs) == expected, (q, n)
     hits = calls["scanned"] - calls["fallbacks"]
     plain = calls["walks"] - calls["fallbacks"]
     assert hits > 1_000 and calls["fallbacks"] > 50 and plain > 1_000, calls

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-import cycloset.cosets as cosets
+import cycloset.orbits as orbits
 import cycloset.tower as tower
 from cycloset import (
     CapacityError,
@@ -24,7 +24,7 @@ from cycloset import (
     splitting_tree,
     verify,
 )
-from cycloset.cosets import _orbit, _orbit_mismatches, _orbit_sweep
+from cycloset.orbits import _orbit, _orbit_mismatches, _orbit_sweep
 
 
 def _seed(q):
@@ -197,7 +197,7 @@ def _corrupt(part, kind, i, rng):
 
 
 def _sweep_mismatches(q, n, pairs):
-    """`cosets._orbit_mismatches` as it was before the streaming walk:
+    """`orbits._orbit_mismatches` as it was before the streaming walk:
     one visited byte per residue, a rep walked with 0 steps lies in an
     earlier rep's orbit, and the sweep then walks the orbits no rep
     reached."""
@@ -272,7 +272,7 @@ def test_orbit_mismatches_match_the_sweep_reference(monkeypatch):
     # b = 1 and small b run
     rng = random.Random(9)
     qs = [q for q in range(2, 64) if len(factorize(q)) == 1]
-    caps = (1, 2, 8, cosets._BSGS_ENTRIES)
+    caps = (1, 2, 8, orbits._BSGS_ENTRIES)
     kinds = range(-1, TWO_DROPPED + 1 + len(CLAIMS))
     seen_kinds = set()
     cases = mismatched = 0
@@ -286,8 +286,8 @@ def test_orbit_mismatches_match_the_sweep_reference(monkeypatch):
         int_claims = all(type(c) is int for _, c in pairs)
         for cap in caps:
             with monkeypatch.context() as patch:
-                patch.setattr(cosets, "_BSGS_ENTRIES", cap)
-                verdict = cosets._is_partition(q, n, pairs)
+                patch.setattr(orbits, "_BSGS_ENTRIES", cap)
+                verdict = orbits._is_partition(q, n, pairs)
                 assert not (verdict and expected), (q, n, kind, cap)
                 assert verdict or expected or not int_claims, (q, n, kind, cap)
                 if cap == caps[cases % len(caps)]:
@@ -306,7 +306,7 @@ def _collision_tests(monkeypatch, cap, grid):
     counts = Counter()
 
     def counted(name):
-        test = getattr(cosets, name)
+        test = getattr(orbits, name)
 
         def run(*args):
             verdict = test(*args)
@@ -316,11 +316,11 @@ def _collision_tests(monkeypatch, cap, grid):
         return run
 
     with monkeypatch.context() as patch:
-        patch.setattr(cosets, "_BSGS_ENTRIES", cap)
+        patch.setattr(orbits, "_BSGS_ENTRIES", cap)
         for name in ("_leaders_collide", "_shares_an_orbit"):
-            patch.setattr(cosets, name, counted(name))
+            patch.setattr(orbits, name, counted(name))
         for q, n, pairs in grid:
-            cosets._is_partition(q, n, pairs)
+            orbits._is_partition(q, n, pairs)
     walked = {v: counts["_leaders_collide", v] for v in (False, True)}
     return {v: (walked[v], counts["_shares_an_orbit", v] - walked[v]) for v in (False, True)}
 
@@ -345,7 +345,7 @@ def test_both_collision_branches_run_and_refuse_a_duplicate(monkeypatch):
             dup[i] = (rng.choice(_orbit(q, n, pairs[j][0])), pairs[j][1])
             grid.append((q, n, dup))
             dups += 1
-    default = _collision_tests(monkeypatch, cosets._BSGS_ENTRIES, grid)
+    default = _collision_tests(monkeypatch, orbits._BSGS_ENTRIES, grid)
     (walked, stepped), (walked_dup, stepped_dup) = default[False], default[True]
     assert walked and stepped > 100 and walked_dup and stepped_dup > 20, default
     assert walked_dup + stepped_dup == dups > 100, (dups, default)
@@ -361,7 +361,7 @@ def test_a_correct_partition_never_takes_the_open_walk(monkeypatch):
     def no_open_walk(q, n, x):
         raise AssertionError(f"open walk of {x} mod {n} under {q}")
 
-    monkeypatch.setattr(cosets, "_open_walk", no_open_walk)
+    monkeypatch.setattr(orbits, "_open_walk", no_open_walk)
     assert verify(5, 3888).match
     rng = random.Random(12)
     qs = [q for q in range(2, 50) if len(factorize(q)) == 1]
@@ -493,14 +493,14 @@ def test_leader_map_scans_for_most_leaders_with_an_eighth_byte_per_residue(monke
     part = enumerate_cosets(5, n)
     part.leader_map()  # warm caches
     walked = []
-    orbit_leader = cosets._orbit_leader
+    orbit_leader = orbits._orbit_leader
 
     def counted(*args):
         walked.append(args[2])
         return orbit_leader(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cosets, "_orbit_leader", counted)
+        patch.setattr(orbits, "_orbit_leader", counted)
         leaders = part.leader_map()
     assert len(leaders) == 1386 and sum(leaders.values()) == n
     assert len(walked) < 1386 // 2, len(walked)
@@ -522,12 +522,12 @@ def test_a_matching_verify_finds_no_leader(monkeypatch):
     n = 2**5 * 3**5 * 7**3
     with monkeypatch.context() as patch:
         for name in ("_leaders", "_scan_group", "_orbit_leader", "_orbit_sweep"):
-            patch.setattr(cosets, name, no_search)
+            patch.setattr(orbits, name, no_search)
         assert verify(5, n).match
         # 2 is a primitive root mod 3**k: one coset per m, so no group has
         # two reps to tell apart, and nothing is walked at all
         for name in ("_shares_an_orbit", "_leaders_collide", "_open_walk"):
-            patch.setattr(cosets, name, no_search)
+            patch.setattr(orbits, name, no_search)
         assert verify(2, 3**14).match
     # a leader search would hold the scan's bitmap of n/8 = 333,396 B on
     # top of the pairs; the leader-free check holds no bitmap

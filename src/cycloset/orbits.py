@@ -23,11 +23,18 @@ two different m. So:
   long orbits of one m (`_scan_group`) and walks the rest.
 - (rep, size) pairs are exactly the orbits mod n, one pair per orbit,
   when every claim is an int certified once per m, so that every rep of
-  that m has an orbit of the claimed length; the claims add up to n; and
-  no two reps of one m share an orbit, which a baby-step giant-step
-  search decides in about 2*sqrt(c) steps per rep (`_shares_an_orbit`).
-  The orbits reached are then distinct, of the claimed lengths, and
-  cover Z/nZ. `_is_partition` decides this without finding any leader;
+  that m has an orbit of the claimed length c; the claims add up to n;
+  and no two reps of one m share an orbit. The orbits reached are then
+  distinct, of the claimed lengths, and cover Z/nZ. Two reps g*u, g*u'
+  share an orbit exactly when u' = u*q**t for some 0 < t < c, and then
+  u = u'*q**(c-t) with min(t, c-t) <= c//2. When (Z/m)* is cyclic
+  (m = 1, 2, 4, p**e or 2*p**e, `_is_cyclic`), exactly c units solve
+  v**c = 1, so H is that kernel and u*H is decided by the key u**c mod
+  m: one `pow` per rep (`_keys_collide`). Otherwise a baby-step
+  giant-step search from each rep over the c//2 steps ahead of it
+  decides it in about sqrt(2c) steps per rep (`_shares_an_orbit`), and
+  a group whose counted walks cost no more is walked for its leaders.
+  `_is_partition` decides all this without finding any leader;
   `_orbit_mismatches` asks it first, finds leaders only to report what
   is wrong, and sweeps Z/nZ (`_orbit_sweep`) only when the orbits
   reached do not cover it.
@@ -221,9 +228,30 @@ def _is_partition(q: int, n: int, pairs) -> bool:
         total += claimed
     if total != n or not all(_exact_order(q, m, c) for m, c in claims.items()):
         return False
+    odd = [p for p, _ in factorize(n) if p > 2]
     return not any(
-        _shares_an_orbit(q, n, claims[m], reps) for m, reps in groups.items() if len(reps) > 1
+        _keys_collide(n, m, claims[m], reps)
+        if _is_cyclic(m, odd)
+        else _shares_an_orbit(q, n, claims[m], reps)
+        for m, reps in groups.items()
+        if len(reps) > 1
     )
+
+
+def _is_cyclic(m: int, odd_primes) -> bool:
+    """Whether (Z/m)* is cyclic, that is m = 1, 2, 4, p**e or 2*p**e for
+    an odd prime p; odd_primes holds every odd prime of m, and may hold
+    others."""
+    odd = sum(m % p == 0 for p in odd_primes)
+    return odd == 0 and m % 8 != 0 or odd == 1 and m % 4 != 0
+
+
+def _keys_collide(n: int, m: int, c: int, reps) -> bool:
+    """Whether two of the reps g*u, g = n/m, whose orbits mod n all have
+    exactly c elements, share the key u**c mod m: when (Z/m)* is cyclic,
+    whether they lie in one orbit (see the module docstring)."""
+    g = n // m
+    return len({pow(x // g, c, m) for x in reps}) < len(reps)
 
 
 _BSGS_ENTRIES = 4096  # most baby steps `_shares_an_orbit` holds at once
@@ -231,22 +259,24 @@ _BSGS_ENTRIES = 4096  # most baby steps `_shares_an_orbit` holds at once
 
 def _shares_an_orbit(q: int, n: int, c: int, reps) -> bool:
     """Whether two of the reps, whose orbits mod n all have exactly c
-    elements, lie in one orbit.
+    elements, lie in one orbit, by Shanks' baby-step giant-step over the
+    half = c//2 steps ahead of each rep (see the module docstring).
 
-    Shanks' baby-step giant-step: the first b elements x*q**i of every
-    rep's orbit go into one dict {element: index}, with b about sqrt(c)
-    and at most _BSGS_ENTRIES entries in all. x' = x*q**t for some
-    0 <= t < c exactly when some giant step x'*q**(-b*j),
-    0 <= j <= (c-1)//b, is a baby step of x; j = 0 is x' itself, met on
-    insert. A step that meets another rep's index is a shared orbit; one
-    that meets its own rep's is not, since q**(b*j) may wrap round the
-    orbit. When walking each orbit for its least element costs no more
-    (c <= b + (c-1)//b), the leaders go into a set instead
+    The first b elements x*q**i of every rep's orbit go into one dict
+    {element: index}, with b about sqrt(half) and at most _BSGS_ENTRIES
+    entries in all. x' = x*q**t for some 0 <= t <= half exactly when some
+    giant step x'*q**(-b*j), 0 <= j <= half//b, is a baby step of x;
+    j = 0 is x' itself, met on insert. A step that meets another rep's
+    index is a shared orbit; one that meets its own rep's is not, since
+    q**(b*j) may wrap round the orbit. When walking each orbit for its
+    least element costs no more, a walk step costing about half a dict
+    step (c <= 2*(b + half//b)), the leaders go into a set instead
     (`_leaders_collide`).
     """
-    b = max(1, min(math.isqrt(c - 1) + 1, _BSGS_ENTRIES // len(reps)))
-    giant = (c - 1) // b
-    if c <= b + giant:
+    half = c // 2
+    b = max(1, min(math.isqrt(half), _BSGS_ENTRIES // len(reps)))
+    giant = half // b
+    if c <= 2 * (b + giant):
         return _leaders_collide(q, n, c, reps)
     baby: dict[int, int] = {}
     for i, x in enumerate(reps):

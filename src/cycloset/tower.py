@@ -151,9 +151,9 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
     by the proof the `orbits` docstring states, and only a mismatching one
     gets the leader search that reports it. A matching partition holds,
     beyond its pairs, a claim and a rep list per m = n/gcd(rep, n) and at
-    most `orbits._BSGS_ENTRIES` baby steps, or one leader per coset of
-    the walked groups. n above `oracle_cap` is refused before either path
-    runs.
+    most `orbits._BSGS_ENTRIES` baby steps, or one key or leader per coset
+    of the keyed or walked groups. n above `oracle_cap` is refused before
+    either path runs.
     """
     _check_qn(q, n)
     _check_total_walk(n, oracle_cap)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -265,7 +266,7 @@ def _corrupt_pairs(part, kind, rng):
     return pairs
 
 
-def test_orbit_mismatches_match_the_sweep_reference(monkeypatch):
+def _check_against_the_sweep(monkeypatch):
     # the leader-free check in front of the report (`_is_partition`) is
     # never True on a mismatch and always True on a match with int claims,
     # also with the baby-step budget forced down so that the walk branch,
@@ -299,10 +300,21 @@ def test_orbit_mismatches_match_the_sweep_reference(monkeypatch):
     assert 1_000 < mismatched < 1_700, mismatched
 
 
+def test_orbit_mismatches_match_the_sweep_reference(monkeypatch):
+    _check_against_the_sweep(monkeypatch)
+
+
+def test_orbit_mismatches_match_the_sweep_reference_with_no_keys(monkeypatch):
+    # the same grid with every group stepped or walked, cyclic (Z/m)*
+    # included, so those two branches also see the groups keys decide
+    monkeypatch.setattr(orbits, "_is_cyclic", lambda m, odd_primes: False)
+    _check_against_the_sweep(monkeypatch)
+
+
 def _collision_tests(monkeypatch, cap, grid):
-    """(walked, stepped) counts of groups `_shares_an_orbit` tested under
-    the given baby-step budget, each split by verdict, over the grid's
-    matching partitions and their duplicates."""
+    """(walked, stepped, keyed) counts of the groups `_is_partition`
+    tested for a shared orbit under the given baby-step budget, each split
+    by verdict, over the grid's matching partitions and their duplicates."""
     counts = Counter()
 
     def counted(name):
@@ -315,17 +327,21 @@ def _collision_tests(monkeypatch, cap, grid):
 
         return run
 
+    def branches(verdict):
+        walked = counts["_leaders_collide", verdict]
+        stepped = counts["_shares_an_orbit", verdict] - walked
+        return walked, stepped, counts["_keys_collide", verdict]
+
     with monkeypatch.context() as patch:
         patch.setattr(orbits, "_BSGS_ENTRIES", cap)
-        for name in ("_leaders_collide", "_shares_an_orbit"):
+        for name in ("_leaders_collide", "_shares_an_orbit", "_keys_collide"):
             patch.setattr(orbits, name, counted(name))
         for q, n, pairs in grid:
             orbits._is_partition(q, n, pairs)
-    walked = {v: counts["_leaders_collide", v] for v in (False, True)}
-    return {v: (walked[v], counts["_shares_an_orbit", v] - walked[v]) for v in (False, True)}
+    return {v: branches(v) for v in (False, True)}
 
 
-def test_both_collision_branches_run_and_refuse_a_duplicate(monkeypatch):
+def test_every_collision_branch_runs_and_refuses_a_duplicate(monkeypatch):
     # each matching partition once as it is, once with a rep replaced by
     # another rep's orbit mate of the same m and size
     rng = random.Random(21)
@@ -346,13 +362,122 @@ def test_both_collision_branches_run_and_refuse_a_duplicate(monkeypatch):
             grid.append((q, n, dup))
             dups += 1
     default = _collision_tests(monkeypatch, orbits._BSGS_ENTRIES, grid)
-    (walked, stepped), (walked_dup, stepped_dup) = default[False], default[True]
-    assert walked and stepped > 100 and walked_dup and stepped_dup > 20, default
-    assert walked_dup + stepped_dup == dups > 100, (dups, default)
+    (walked, stepped, keyed), (walked_dup, stepped_dup, keyed_dup) = default[False], default[True]
+    assert walked > 100 and stepped > 100 and keyed > 100, default
+    assert walked_dup > 5 and stepped_dup > 20 and keyed_dup > 20, default
+    # each duplicate is refused by exactly one group, and no matching
+    # partition is refused
+    assert walked_dup + stepped_dup + keyed_dup == dups > 100, (dups, default)
+    # with at most 2 baby steps in all, every group of k >= 2 reps has
+    # b = 1 and c//2 giant steps, and c <= 2*(1 + c//2) walks it; the keys
+    # do not depend on the budget
     for cap in (1, 2):
         forced = _collision_tests(monkeypatch, cap, grid)
-        assert forced[False][1] == forced[True][1] == 0, (cap, forced)
-        assert forced[True][0] == walked_dup + stepped_dup, (cap, forced)
+        assert forced == {
+            v: (w + s, 0, k) for v, (w, s, k) in default.items()
+        }, (cap, forced, default)
+
+
+# (q, n) whose units mod n, a non-cyclic group, form one group of reps of
+# orbit length c: c = 30, 41, 145, and 476 over 288 reps, where the cap
+# leaves b = 4096 // 289 = 14 baby steps against isqrt(238) = 15
+HALF_RANGE_CASES = ((2, 77), (7, 249), (3, 649), (7, 171365))
+
+
+@pytest.mark.parametrize("q, n", HALF_RANGE_CASES)
+def test_half_range_giant_steps_find_an_orbit_mate_at_every_offset(monkeypatch, q, n):
+    # x' = x*q**t is t steps ahead of x and c - t behind it; the giant steps
+    # reach only c//2 ahead, so the rep behind finds the pair. The offsets
+    # around c//2 need the last giant step.
+    reps = [rep for rep, _ in tower._enumerate_pairs(q, n) if math.gcd(rep, n) == 1]
+    c = len(_orbit(q, n, reps[0]))
+    assert not orbits._is_cyclic(n, [p for p, _ in factorize(n) if p > 2])
+    assert len(reps) > 1 and c * len(reps) == sum(1 for u in range(n) if math.gcd(u, n) == 1)
+    offsets = {1, 2, c // 2 - 1, c // 2, (c + 1) // 2, c - 2, c - 1}
+
+    def refuse_walk(*args):
+        raise AssertionError(f"walked {args}")
+
+    default = orbits._BSGS_ENTRIES
+    for cap in (1, 2, default):
+        with monkeypatch.context() as patch:
+            patch.setattr(orbits, "_BSGS_ENTRIES", cap)
+            if cap == default:
+                patch.setattr(orbits, "_leaders_collide", refuse_walk)
+            assert not orbits._shares_an_orbit(q, n, c, reps), cap
+            for t, i in itertools.product(offsets, (0, len(reps) // 2, -1)):
+                mate = reps[i] * pow(q, t, n) % n
+                assert orbits._shares_an_orbit(q, n, c, reps + [mate]), (cap, t, i)
+                assert orbits._shares_an_orbit(q, n, c, [mate] + reps), (cap, t, i)
+
+
+def test_keys_decide_cyclic_unit_groups_exactly():
+    # when (Z/m)* is cyclic, u**c mod m is one key per orbit: two units
+    # share a key exactly when they share an orbit
+    ms = [m for m in range(1, 400) if orbits._is_cyclic(m, [p for p, _ in factorize(m) if p > 2])]
+    assert {1, 2, 4, 9, 25, 27, 50, 54, 243, 242} <= set(ms)
+    assert not {8, 12, 15, 16, 21, 24, 63, 100} & set(ms)
+    checked = 0
+    for m in ms:
+        units = [u for u in range(m) if math.gcd(u, m) == 1]
+        assert len(units) == math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
+        for q in (2, 3, 5, 7, m - 1, m + 1):
+            if math.gcd(q, m) != 1:
+                continue
+            c = len(_orbit(q, m, 1))
+            leader = {u: min(_orbit(q, m, u)) for u in units}
+            key = {u: pow(u, c, m) for u in units}
+            by_key = {}
+            for u in units:
+                by_key.setdefault(key[u], set()).add(leader[u])
+            assert all(len(leads) == 1 for leads in by_key.values()), (q, m)
+            assert len(by_key) == len(set(leader.values())), (q, m)
+            checked += 1
+    assert checked > 500, checked
+
+
+@pytest.mark.parametrize("n", [4, 2 * 3**7, 3**9, 5**6, 2 * 7**4, 11**4, 2 * 101**2])
+def test_keys_refuse_an_orbit_mate_when_units_are_cyclic(monkeypatch, n):
+    # every m | n is cyclic, so no group is stepped or walked
+    def refuse(*args):
+        raise AssertionError(f"stepped or walked {args}")
+
+    monkeypatch.setattr(orbits, "_shares_an_orbit", refuse)
+    rng = random.Random(n)
+    for q in (3, 5, 7, 9, 13, 17, 19, 27):
+        if math.gcd(q, n) != 1:
+            continue
+        pairs = tower._enumerate_pairs(q, n)
+        assert orbits._is_partition(q, n, pairs), (q, n)
+        for i in rng.sample(range(len(pairs)), min(len(pairs), 12)):
+            rep, size = pairs[i]
+            orbit = _orbit(q, n, rep)
+            if len(orbit) > 1:
+                moved = list(pairs)
+                moved[i] = (rng.choice(orbit[1:]), size)
+                assert orbits._is_partition(q, n, moved), (q, n, rep)
+            j = _same_m_partner(q, n, pairs, i, rng)
+            if j != i and pairs[j][1] == size:
+                dup = list(pairs)
+                dup[i] = (rng.choice(_orbit(q, n, pairs[j][0])), size)
+                assert not orbits._is_partition(q, n, dup), (q, n, rep)
+                assert _orbit_mismatches(q, n, dup), (q, n, rep)
+
+
+def test_keys_prove_a_large_prime_quickly():
+    # 464 reps of one m with orbits of 19,413 elements: capped baby-step
+    # giant-step took about 0.09 s (CPython 3.11, shared 2-vCPU machine),
+    # one pow per rep about 0.7 ms
+    q, n = 2, 9007633
+    pairs = tower._enumerate_pairs(q, n)
+    assert len(pairs) == 465
+    best = math.inf
+    for _ in range(3):
+        orbits._exact_order.cache_clear()
+        t0 = time.perf_counter()
+        assert orbits._is_partition(q, n, pairs)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.02, best
 
 
 def test_a_correct_partition_never_takes_the_open_walk(monkeypatch):

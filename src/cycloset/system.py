@@ -9,6 +9,12 @@ form: every branch over a base coset is indexed by the digit position m
 where it leaves the principal digit stream of -gamma/n, a substituted
 digit at that position, and a short tail of free digits.
 
+The paper's valuation rule for the three kinds is stated once, in the
+branch plan (`_base_params`, `_stable_size`). `classify` shares no
+formula with it: it reads the kind off the definition, from whether
+q**tau is 1 mod ell and whether the orbit of gamma mod ell*m closes
+after tau steps.
+
 Only a multiple of ell**k, k = v_ell(m), can semi-split modulo m: the
 orbit of gamma closes after tau steps, so m divides (q**tau - 1) * gamma,
 and q**tau not 1 mod ell leaves all of ell**k to divide gamma. Such a
@@ -74,7 +80,9 @@ def _check_inputs(ell: int, q: int, m: int) -> None:
         raise ValueError(f"{ell} is not prime")
     if math.gcd(ell, q) != 1:
         raise ValueError("ell must not divide q")
-    if m < 1 or math.gcd(q, m) != 1:
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    if math.gcd(q, m) != 1:
         raise ValueError(f"gcd(q={q}, m={m}) must be 1")
 
 
@@ -91,9 +99,15 @@ def _check_tower(ell: int, q: int, n: int, f: int) -> None:
 def classify(ell: int, q: int, m: int, gamma: int) -> SplitKind:
     """One-step behavior of the coset of gamma mod m under extension by ell.
 
-    Semi-splitting iff ell is odd and does not divide q**tau - 1; else
-    splitting iff v_ell(gamma) + v_ell(q**tau - 1) exceeds v_ell(m), with
-    gamma = 0 counting as infinitely divisible; else stable.
+    The paper's theorem: semi-splitting iff ell is odd and does not
+    divide q**tau - 1 (tau the coset's size); else splitting iff
+    v_ell(gamma) + v_ell(q**tau - 1) exceeds v_ell(m), with gamma = 0
+    counting as infinitely divisible; else stable. The branch plan
+    (`_base_params`, `_stable_size`) carries that valuation rule. Here
+    the kind is decided from the definition instead, by one power
+    b = q**tau mod ell*m: semi-splitting iff ell is odd and b is not 1
+    mod ell, else splitting iff the orbit of gamma mod ell*m closes
+    after tau steps, that is ell*m divides gamma * (b - 1).
     """
     _check_inputs(ell, q, m)
     return _classify_with_tau(ell, q, m, gamma, size_of(q, m, gamma))
@@ -101,11 +115,10 @@ def classify(ell: int, q: int, m: int, gamma: int) -> SplitKind:
 
 def _classify_with_tau(ell, q, m, gamma, tau):
     gamma %= m
-    if ell != 2 and pow(q, tau, ell) != 1:
+    b = pow(q, tau, ell * m)
+    if ell != 2 and b % ell != 1:
         return SplitKind.SEMI_SPLITTING
-    if gamma == 0:
-        return SplitKind.SPLITTING
-    if val(ell, gamma) + val_pow_minus_one(ell, q, tau) >= val(ell, m) + 1:
+    if gamma * (b - 1) % (ell * m) == 0:
         return SplitKind.SPLITTING
     return SplitKind.STABLE
 
@@ -117,10 +130,7 @@ def lift_representative(ell: int, m: int, gamma: int) -> int:
     digit is the first ell-adic digit of -(gamma/ell**k)/m'; gamma = 0
     lifts to 0. Raises when no lift gains enough valuation.
     """
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    _check_inputs(ell, 1, m)
     check_capacity(ell * m)
     gamma %= m
     k = val(ell, m)
@@ -137,6 +147,8 @@ def transversal_R(ell: int, q: int, tau: int) -> list[int]:
     not divide q**tau - 1, so the subgroup is nontrivial.
     """
     _check_inputs(ell, q, 1)
+    if tau < 1:
+        raise ValueError("tau must be positive")
     b = pow(q, tau, ell)
     if b == 1:
         raise ValueError("ell divides q**tau - 1; no transversal in this regime")

@@ -222,24 +222,26 @@ def splitting_tree(ell: int, q: int, n: int, f: int) -> SplittingTree:
     A semi-splitting node at depth d is ell**d times a coset mod the
     ell-free n (`system`), so its children depend on its size tau alone:
     one plans dict serves the whole tree, and each distinct semi-splitting
-    tau costs one depth-1 branch plan and one transversal. Each node is
-    classified once, when it is made, and expanded by its stored kind.
+    tau costs one depth-1 branch plan and one transversal. Each level's
+    nodes are classified where they are made, and every level but the
+    last is expanded by its stored kinds into the next one's (parent,
+    rep, size) triples.
     """
     _check_tower(ell, q, n, f)
     plans: dict = {}
-    levels = [
-        tuple(
-            TreeNode(0, rep, size, _classify_with_tau(ell, q, n, rep, size), None)
-            for rep, size in _enumerate_pairs(q, n)
+    levels = []
+    row = [(None, rep, size) for rep, size in _enumerate_pairs(q, n)]
+    for depth in range(f + 1):
+        mod = ell**depth * n
+        level = tuple(
+            TreeNode(depth, rep, size, _classify_with_tau(ell, q, mod, rep, size), parent)
+            for parent, rep, size in row
         )
-    ]
-    mod = n
-    for depth in range(1, f + 1):
-        row = []
-        for nd in levels[-1]:
-            for rep, size in _decompose_with_tau(ell, q, mod, nd.rep, nd.size, nd.kind, plans):
-                kind = _classify_with_tau(ell, q, mod * ell, rep, size)
-                row.append(TreeNode(depth, rep, size, kind, nd.rep))
-        levels.append(tuple(row))
-        mod *= ell
+        levels.append(level)
+        if depth < f:
+            row = [
+                (nd.rep, rep, size)
+                for nd in level
+                for rep, size in _decompose_with_tau(ell, q, mod, nd.rep, nd.size, nd.kind, plans)
+            ]
     return SplittingTree(ell, q, n, f, tuple(levels))

@@ -309,6 +309,14 @@ def test_tree_huge_depth_is_a_capacity_error(capsys):
     assert "exceeds the 2**63 working range" in err
 
 
+def test_tree_zero_modulus_is_named(capsys):
+    # gcd(5, 0) = 5: the message names the modulus, not q
+    code, out, err = run(capsys, "tree", "--ell", "2", "--q", "5", "--n", "0", "--depth", "1")
+    assert code == 2
+    assert out == ""
+    assert "modulus must be positive" in err
+
+
 def test_enumerate_huge_q_fails_fast(capsys):
     # p**e is never formed: 3**10**7 alone takes seconds to build
     t0 = time.perf_counter()

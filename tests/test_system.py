@@ -9,6 +9,7 @@ import pytest
 
 from cycloset import (
     CapacityError,
+    CosetPartition,
     Regime,
     SplitKind,
     classify,
@@ -19,12 +20,14 @@ from cycloset import (
     enumerate_branch,
     enumerate_naive,
     generating_series,
+    lift_partition,
     lift_representative,
     preimage_decompose,
     size_of,
     splitting_tree,
     transversal_R,
     val,
+    val_pow_minus_one,
 )
 from cycloset.arith import digits_value, factorize, phi_digits
 from cycloset.system import (
@@ -74,6 +77,76 @@ def test_classify_errors():
         classify(3, 5, 10, 1)  # gcd(q, m) != 1
     with pytest.raises(ValueError):
         classify(4, 5, 9, 1)  # ell not prime
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classify(3, 5, 0, 1),
+        lambda: classify(3, 5, -4, 1),
+        lambda: preimage_decompose(3, 5, 0, 1),
+        lambda: generating_series(3, 5, 0, 1, 0),
+        lambda: enumerate_branch(3, 5, 0, 1, 1),
+        lambda: splitting_tree(2, 5, 0, 1),
+        lambda: lift_partition(3, 5, CosetPartition(5, 0, ()), 1),
+    ],
+    ids=[
+        "classify",
+        "classify-negative",
+        "preimage_decompose",
+        "generating_series",
+        "enumerate_branch",
+        "splitting_tree",
+        "lift_partition",
+    ],
+)
+def test_nonpositive_modulus_is_named_before_the_gcd(call):
+    # gcd(5, 0) = 5, so a gcd test alone would blame q instead
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        call()
+
+
+def _paper_kind(ell, q, m, gamma):
+    # the paper's valuation rule for the kinds, which the branch plan
+    # carries: a reference that shares no formula with classify's
+    # orbit-closure test
+    gamma %= m
+    tau = size_of(q, m, gamma)
+    if ell != 2 and pow(q, tau, ell) != 1:
+        return SplitKind.SEMI_SPLITTING
+    if gamma == 0:
+        return SplitKind.SPLITTING
+    if val(ell, gamma) + val_pow_minus_one(ell, q, tau) >= val(ell, m) + 1:
+        return SplitKind.SPLITTING
+    return SplitKind.STABLE
+
+
+def test_classify_matches_the_paper_rule_on_every_gamma():
+    # every gamma mod m < 120 (ell**k up to 2**6, 3**4, 5**2, 7**2, 11, 13),
+    # then m = ell**k * m' up to ell**7 at random gammas, weighted to
+    # multiples of ell**j so that every valuation case is reached
+    seen = set()
+    for ell in (2, 3, 5, 7, 11, 13):
+        for q in (2, 3, 4, 5, 7, 8, 9, 17, 25, 49):
+            if q % ell == 0:
+                continue
+            for m in range(1, 120):
+                if math.gcd(q, m) != 1:
+                    continue
+                for gamma in range(m):
+                    kind = classify(ell, q, m, gamma)
+                    assert kind is _paper_kind(ell, q, m, gamma), (ell, q, m, gamma)
+                    seen.add((ell == 2, kind))
+    assert len(seen) == 5  # every kind, and ell = 2 both splits and is stable
+    rng = random.Random(23)
+    for _ in range(3000):
+        ell = rng.choice((2, 3, 5, 7))
+        q = rng.choice((2, 3, 5, 7, 9, 11, 13, 17, 31, 49, 125))
+        m = ell ** rng.randrange(0, 8) * rng.choice((1, 2, 3, 7, 11, 13, 29, 97))
+        if math.gcd(q, ell * m) != 1:
+            continue
+        gamma = ell ** rng.randrange(0, 9) * rng.randrange(0, m)
+        assert classify(ell, q, m, gamma) is _paper_kind(ell, q, m, gamma), (ell, q, m, gamma)
 
 
 def test_classify_matches_oracle_arity():
@@ -199,6 +272,13 @@ def test_transversal_golden():
     assert transversal_R(5, 2, 1) == [1]
     with pytest.raises(ValueError):
         transversal_R(3, 5, 2)  # 3 divides 5**2 - 1
+
+
+@pytest.mark.parametrize("tau", [0, -1])
+def test_transversal_refuses_a_nonpositive_tau(tau):
+    # pow would read tau = -1 as an inverse and tau = 0 as q**0 = 1
+    with pytest.raises(ValueError, match="tau must be positive"):
+        transversal_R(5, 2, tau)
 
 
 def test_transversal_covers_all_classes():

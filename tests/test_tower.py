@@ -25,6 +25,7 @@ from cycloset import (
     splitting_tree,
     verify,
 )
+from cycloset.arith import mul_order
 from cycloset.orbits import _orbit, _orbit_mismatches, _orbit_sweep
 
 
@@ -747,7 +748,9 @@ def _tree_grid(seed, count, cap=200_000):
 def test_splitting_tree_levels_match_the_oracle(case):
     # each level is the partition mod ell**d * n (orbits, not reps: the
     # tree's reps differ from the lift's when ell is not n's largest
-    # prime), each kind is classify's, and each child reduces to its parent
+    # prime), each kind is classify's, and each child reduces to its parent;
+    # above the last level each kind also agrees with the node's child
+    # count in the next, validated level
     ell, q, n, f = case
     tree = splitting_tree(ell, q, n, f)
     assert len(tree.levels) == f + 1
@@ -761,6 +764,33 @@ def test_splitting_tree_levels_match_the_oracle(case):
             assert all(nd.rep % (m // ell) == nd.parent for nd in level)
         else:
             assert all(nd.parent is None for nd in level)
+    for level, below in zip(tree.levels, tree.levels[1:]):
+        children = Counter(nd.parent for nd in below)
+        for nd in level:
+            arity = {
+                SplitKind.SPLITTING: ell,
+                SplitKind.STABLE: 1,
+                SplitKind.SEMI_SPLITTING: 1 + (ell - 1) // mul_order(pow(q, nd.size, ell), ell),
+            }
+            assert children[nd.rep] == arity[nd.kind], nd
+
+
+def test_splitting_tree_takes_no_valuation(monkeypatch):
+    # kinds come from one power per node, not from the valuation rule,
+    # and a 2-adic tree builds no branch plan, the one place that rule
+    # lives; the roots' partition mod 5005 is lifted through odd primes'
+    # plans, so it is made before the valuations are refused
+    import cycloset.system as system
+
+    def refused(*args):
+        raise AssertionError("splitting_tree took a valuation")
+
+    roots = tower._enumerate_pairs(3, 5005)
+    monkeypatch.setattr(tower, "_enumerate_pairs", lambda q, n: roots)
+    monkeypatch.setattr(system, "val", refused)
+    monkeypatch.setattr(system, "val_pow_minus_one", refused)
+    tree = splitting_tree(2, 3, 5005, 10)
+    assert sum(nd.size for nd in tree.levels[-1]) == 2**10 * 5005
 
 
 @pytest.mark.parametrize("case, taus", [((1000003, 2, 255, 1), 4), ((3, 5, 16, 6), 1)])

@@ -27,17 +27,29 @@ two different m. So:
   and no two reps of one m share an orbit. The orbits reached are then
   distinct, of the claimed lengths, and cover Z/nZ. Two reps g*u, g*u'
   share an orbit exactly when u' = u*q**t for some 0 < t < c, and then
-  u = u'*q**(c-t) with min(t, c-t) <= c//2. When (Z/m)* is cyclic
-  (m = 1, 2, 4, p**e or 2*p**e, `_is_cyclic`), exactly c units solve
-  v**c = 1, so H is that kernel and u*H is decided by the key u**c mod
-  m: one `pow` per rep (`_keys_collide`). Otherwise a baby-step
-  giant-step search from each rep over the c//2 steps ahead of it
-  decides it in about sqrt(2c) steps per rep (`_shares_an_orbit`), and
-  a group whose counted walks cost no more is walked for its leaders.
-  `_is_partition` decides all this without finding any leader;
-  `_orbit_mismatches` asks it first, finds leaders only to report what
-  is wrong, and sweeps Z/nZ (`_orbit_sweep`) only when the orbits
-  reached do not cover it.
+  u = u'*q**(c-t) with min(t, c-t) <= c//2.
+- Labels decide that in every (Z/m)* (`_labels`). Let K be the c-torsion
+  {v : v**c = 1} of (Z/m)*, which holds H. The key u**c mod m fixes the
+  coset u*K. For each prime r, r**a || c, write e = c/r**a and let K_r
+  be the r-part of K; from the cyclic factors of (Z/m)*, C_(p**(f-1)*(p-1))
+  for each odd p**f || m and C_2 x C_(2**(f-2)) for 2**f || m, f >= 3,
+  |K_r| is the product of gcd(r**a, o) over their orders o. For w in K,
+  w**e lies in K_r, v -> v**e permutes K_r and kills every other part
+  of K, and q**e generates H_r, the r-part of H of order r**a; so w lies
+  in H exactly when w**e lies in <q**e> for each r. Where |K_r| = r**a
+  (r is not free) that always holds. So two units with one key, and u0
+  the first rep with that key, share an orbit exactly when, for each
+  free r, (u/u0)**e lies in one coset of <q**e>: the label is the key
+  and the ids of those cosets, one `pow` per rep and free prime, from a
+  table that walks r**a steps once per new coset (a cyclic (Z/m)* has
+  no free prime). Where the tables or the powers would cost more, a
+  baby-step giant-step search from each rep over the c//2 steps ahead
+  of it decides it in about sqrt(2c) steps per rep
+  (`_shares_an_orbit`), and a group whose counted walks cost no more is
+  walked for its leaders (`_collide`). `_is_partition` decides all this
+  without finding any leader; `_orbit_mismatches` asks it first, finds
+  leaders only to report what is wrong, and sweeps Z/nZ
+  (`_orbit_sweep`) only when the orbits reached do not cover it.
 """
 
 from __future__ import annotations
@@ -213,8 +225,10 @@ def _orbit_sweep(q, n, starts=()):
 def _is_partition(q: int, n: int, pairs) -> bool:
     """Whether the (rep, size) pairs are exactly the orbits mod n, one
     pair per orbit, by the proof of the module docstring: no leader is
-    found. False says only that the check failed; a rep outside [0, n)
-    gives False, and the caller finds out what is wrong."""
+    found, and each m with two or more reps is told apart by labels, or
+    by `_shares_an_orbit` where labels cost more (`_collide`). False says
+    only that the check failed; a rep outside [0, n) gives False, and the
+    caller finds out what is wrong."""
     claims: dict[int, int] = {}
     groups: dict[int, list[int]] = {}
     total = 0
@@ -228,33 +242,94 @@ def _is_partition(q: int, n: int, pairs) -> bool:
         total += claimed
     if total != n or not all(_exact_order(q, m, c) for m, c in claims.items()):
         return False
-    odd = [p for p, _ in factorize(n) if p > 2]
+    factors = factorize(n)
     return not any(
-        _keys_collide(n, m, claims[m], reps)
-        if _is_cyclic(m, odd)
-        else _shares_an_orbit(q, n, claims[m], reps)
-        for m, reps in groups.items()
-        if len(reps) > 1
+        _collide(q, n, m, claims[m], reps, factors) for m, reps in groups.items() if len(reps) > 1
     )
 
 
-def _is_cyclic(m: int, odd_primes) -> bool:
-    """Whether (Z/m)* is cyclic, that is m = 1, 2, 4, p**e or 2*p**e for
-    an odd prime p; odd_primes holds every odd prime of m, and may hold
-    others."""
-    odd = sum(m % p == 0 for p in odd_primes)
-    return odd == 0 and m % 8 != 0 or odd == 1 and m % 4 != 0
-
-
-def _keys_collide(n: int, m: int, c: int, reps) -> bool:
+def _collide(q: int, n: int, m: int, c: int, reps, factors) -> bool:
     """Whether two of the reps g*u, g = n/m, whose orbits mod n all have
-    exactly c elements, share the key u**c mod m: when (Z/m)* is cyclic,
-    whether they lie in one orbit (see the module docstring)."""
+    exactly c elements, share an orbit: by their labels (`_labels`),
+    unless the id tables or the ids under one key would pass
+    _BSGS_ENTRIES, or, a `pow` costing about a dict step, the tables and
+    one power per rep and per free prime cost more than
+    `_shares_an_orbit`'s b + giant steps per rep. A key's ids are bits of
+    one int, so the labels of a matching partition take one dict entry
+    per key, not per rep."""
+    k = len(reps)
+    free = _free_primes(q, m, c, factors)
+    entries = sum(min(k, s) * ra for _, ra, s, _ in free)
+    ids = math.prod(s for _, _, s, _ in free)
+    if max(entries, ids) > _BSGS_ENTRIES or entries + k * (1 + len(free)) > k * sum(_steps(c, k)):
+        return _shares_an_orbit(q, n, c, reps)
+    if not free:
+        return len({key for key, _ in _labels(n, m, c, reps, free)}) < k
+    seen: dict[int, int] = {}  # key -> bit mask of the ids met under it
+    for key, i in _labels(n, m, c, reps, free):
+        mask = seen.get(key, 0)
+        if mask >> i & 1:
+            return True
+        seen[key] = mask | 1 << i
+    return False
+
+
+def _free_primes(q: int, m: int, c: int, factors) -> list[tuple[int, int, int, int]]:
+    """(c/r**a, r**a, s, q**(c/r**a) mod m) for each free prime r of c,
+    r**a || c: the r-part K_r of the c-torsion of (Z/m)* has s*r**a > r**a
+    elements (see the module docstring). factors is the factorization of
+    a multiple of m."""
+    orders = []  # of the cyclic factors of (Z/m)*; 1 for a prime not in m
+    for p, e in factors:
+        pe = math.gcd(m, p**e)
+        orders += [pe - pe // p] if p > 2 else [2, pe // 4] if pe > 2 else []
+    free = []
+    for r, a in factorize(c):
+        ra = r**a
+        s = math.prod(math.gcd(ra, o) for o in orders) // ra
+        if s > 1:
+            free.append((c // ra, ra, s, pow(q, c // ra, m)))
+    return free
+
+
+def _labels(n: int, m: int, c: int, reps, free):
+    """(key, id) for each rep g*u, g = n/m, in order: the key u**c mod m
+    and, packed in one int below the product of the s of `_free_primes`,
+    the id of the coset of (u/u0)**(c/r**a) under <q**(c/r**a)> for each
+    free prime r, u0 the first rep with the same key. Two reps share an
+    orbit exactly when their labels agree (see the module docstring). A
+    table per free prime numbers the cosets as they are met, walking
+    r**a steps for each new one."""
     g = n // m
-    return len({pow(x // g, c, m) for x in reps}) < len(reps)
+    inverses: dict[int, int] = {}
+    tables: list[dict[int, int]] = [{} for _ in free]
+    for x in reps:
+        u = x // g
+        key = pow(u, c, m)
+        i = 0
+        if free:
+            w = u * (inverses.get(key) or inverses.setdefault(key, pow(u, -1, m))) % m
+            for (e, ra, s, h), table in zip(free, tables):
+                y = pow(w, e, m)
+                j = table.get(y)
+                if j is None:
+                    j = len(table) // ra
+                    for _ in repeat(None, ra):
+                        table[y] = j
+                        y = y * h % m
+                i = i * s + j
+        yield key, i
 
 
-_BSGS_ENTRIES = 4096  # most baby steps `_shares_an_orbit` holds at once
+_BSGS_ENTRIES = 4096  # most baby steps, or coset id entries of `_labels`, held at once
+
+
+def _steps(c: int, k: int) -> tuple[int, int]:
+    """(b, giant): the baby and giant steps per rep of `_shares_an_orbit`
+    over k reps of orbit length c."""
+    half = c // 2
+    b = max(1, min(math.isqrt(half), _BSGS_ENTRIES // k))
+    return b, half // b
 
 
 def _shares_an_orbit(q: int, n: int, c: int, reps) -> bool:
@@ -264,18 +339,16 @@ def _shares_an_orbit(q: int, n: int, c: int, reps) -> bool:
 
     The first b elements x*q**i of every rep's orbit go into one dict
     {element: index}, with b about sqrt(half) and at most _BSGS_ENTRIES
-    entries in all. x' = x*q**t for some 0 <= t <= half exactly when some
-    giant step x'*q**(-b*j), 0 <= j <= half//b, is a baby step of x;
-    j = 0 is x' itself, met on insert. A step that meets another rep's
-    index is a shared orbit; one that meets its own rep's is not, since
-    q**(b*j) may wrap round the orbit. When walking each orbit for its
-    least element costs no more, a walk step costing about half a dict
-    step (c <= 2*(b + half//b)), the leaders go into a set instead
-    (`_leaders_collide`).
+    entries in all (`_steps`). x' = x*q**t for some 0 <= t <= half
+    exactly when some giant step x'*q**(-b*j), 0 <= j <= half//b, is a
+    baby step of x; j = 0 is x' itself, met on insert. A step that meets
+    another rep's index is a shared orbit; one that meets its own rep's
+    is not, since q**(b*j) may wrap round the orbit. When walking each
+    orbit for its least element costs no more, a walk step costing about
+    half a dict step (c <= 2*(b + half//b)), the leaders go into a set
+    instead (`_leaders_collide`).
     """
-    half = c // 2
-    b = max(1, min(math.isqrt(half), _BSGS_ENTRIES // len(reps)))
-    giant = half // b
+    b, giant = _steps(c, len(reps))
     if c <= 2 * (b + giant):
         return _leaders_collide(q, n, c, reps)
     baby: dict[int, int] = {}

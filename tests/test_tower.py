@@ -270,8 +270,8 @@ def _corrupt_pairs(part, kind, rng):
 def _check_against_the_sweep(monkeypatch):
     # the leader-free check in front of the report (`_is_partition`) is
     # never True on a mismatch and always True on a match with int claims,
-    # also with the baby-step budget forced down so that the walk branch,
-    # b = 1 and small b run
+    # also with the baby-step budget, which bounds the label tables too,
+    # forced down so that the walk branch, b = 1 and small b run
     rng = random.Random(9)
     qs = [q for q in range(2, 64) if len(factorize(q)) == 1]
     caps = (1, 2, 8, orbits._BSGS_ENTRIES)
@@ -305,18 +305,27 @@ def test_orbit_mismatches_match_the_sweep_reference(monkeypatch):
     _check_against_the_sweep(monkeypatch)
 
 
+def _no_labels(q, n, m, c, reps, factors):
+    """`orbits._collide` with the labels refused: the baby-step giant-step
+    test, which steps or walks, takes every group."""
+    return orbits._shares_an_orbit(q, n, c, reps)
+
+
 def test_orbit_mismatches_match_the_sweep_reference_with_no_keys(monkeypatch):
-    # the same grid with every group stepped or walked, cyclic (Z/m)*
-    # included, so those two branches also see the groups keys decide
-    monkeypatch.setattr(orbits, "_is_cyclic", lambda m, odd_primes: False)
+    # the same grid with no labels, so stepping and walking also see the
+    # groups labels decide
+    monkeypatch.setattr(orbits, "_collide", _no_labels)
     _check_against_the_sweep(monkeypatch)
 
 
 def _collision_tests(monkeypatch, cap, grid):
-    """(walked, stepped, keyed) counts of the groups `_is_partition`
-    tested for a shared orbit under the given baby-step budget, each split
-    by verdict, over the grid's matching partitions and their duplicates."""
+    """(walked, stepped, labelled with no free prime, labelled with one)
+    counts of the groups `_is_partition` tested for a shared orbit under
+    the given baby-step budget, which bounds the label tables too, each
+    split by verdict, over the grid's matching partitions and their
+    duplicates."""
     counts = Counter()
+    collide, labels = orbits._collide, orbits._labels
 
     def counted(name):
         test = getattr(orbits, name)
@@ -328,15 +337,29 @@ def _collision_tests(monkeypatch, cap, grid):
 
         return run
 
+    def counted_labels(*args):
+        counts["_labels"] += 1
+        return labels(*args)
+
+    def counted_collide(q, n, m, c, reps, factors):
+        calls = counts["_labels"]
+        verdict = collide(q, n, m, c, reps, factors)
+        if counts["_labels"] > calls:
+            free = bool(orbits._free_primes(q, m, c, factors))
+            counts["labelled", free, verdict] += 1
+        return verdict
+
     def branches(verdict):
         walked = counts["_leaders_collide", verdict]
         stepped = counts["_shares_an_orbit", verdict] - walked
-        return walked, stepped, counts["_keys_collide", verdict]
+        return walked, stepped, counts["labelled", False, verdict], counts["labelled", True, verdict]
 
     with monkeypatch.context() as patch:
         patch.setattr(orbits, "_BSGS_ENTRIES", cap)
-        for name in ("_leaders_collide", "_shares_an_orbit", "_keys_collide"):
+        for name in ("_leaders_collide", "_shares_an_orbit"):
             patch.setattr(orbits, name, counted(name))
+        patch.setattr(orbits, "_labels", counted_labels)
+        patch.setattr(orbits, "_collide", counted_collide)
         for q, n, pairs in grid:
             orbits._is_partition(q, n, pairs)
     return {v: branches(v) for v in (False, True)}
@@ -363,20 +386,32 @@ def test_every_collision_branch_runs_and_refuses_a_duplicate(monkeypatch):
             grid.append((q, n, dup))
             dups += 1
     default = _collision_tests(monkeypatch, orbits._BSGS_ENTRIES, grid)
-    (walked, stepped, keyed), (walked_dup, stepped_dup, keyed_dup) = default[False], default[True]
-    assert walked > 100 and stepped > 100 and keyed > 100, default
-    assert walked_dup > 5 and stepped_dup > 20 and keyed_dup > 20, default
+    (walked, stepped, plain, free), (walked_dup, stepped_dup, plain_dup, free_dup) = (
+        default[False],
+        default[True],
+    )
+    assert walked > 100 and stepped > 50 and plain > 100 and free > 100, default
+    assert walked_dup > 5 and stepped_dup > 2 and plain_dup > 20 and free_dup > 20, default
     # each duplicate is refused by exactly one group, and no matching
     # partition is refused
-    assert walked_dup + stepped_dup + keyed_dup == dups > 100, (dups, default)
-    # with at most 2 baby steps in all, every group of k >= 2 reps has
-    # b = 1 and c//2 giant steps, and c <= 2*(1 + c//2) walks it; the keys
-    # do not depend on the budget
+    assert sum(default[True]) == dups > 100, (dups, default)
+    # with at most 2 entries in all, every group of k >= 2 reps with a free
+    # prime needs an id table of at least 4, and gets b = 1 and c//2 giant
+    # steps, and c <= 2*(1 + c//2) walks it; labels with no free prime do
+    # not depend on the budget
     for cap in (1, 2):
         forced = _collision_tests(monkeypatch, cap, grid)
         assert forced == {
-            v: (w + s, 0, k) for v, (w, s, k) in default.items()
+            v: (w + s + f, 0, p, 0) for v, (w, s, p, f) in default.items()
         }, (cap, forced, default)
+    # with no labels, every group is stepped or walked, and stepping
+    # refuses its share of the duplicates
+    monkeypatch.setattr(orbits, "_collide", _no_labels)
+    unlabelled = _collision_tests(monkeypatch, orbits._BSGS_ENTRIES, grid)
+    assert all(
+        sum(unlabelled[v]) == sum(default[v]) and unlabelled[v][2:] == (0, 0) for v in unlabelled
+    ), (unlabelled, default)
+    assert unlabelled[False][1] > 100 and unlabelled[True][1] > 20, unlabelled
 
 
 # (q, n) whose units mod n, a non-cyclic group, form one group of reps of
@@ -392,7 +427,7 @@ def test_half_range_giant_steps_find_an_orbit_mate_at_every_offset(monkeypatch, 
     # around c//2 need the last giant step.
     reps = [rep for rep, _ in tower._enumerate_pairs(q, n) if math.gcd(rep, n) == 1]
     c = len(_orbit(q, n, reps[0]))
-    assert not orbits._is_cyclic(n, [p for p, _ in factorize(n) if p > 2])
+    assert not _units_are_cyclic(n)
     assert len(reps) > 1 and c * len(reps) == sum(1 for u in range(n) if math.gcd(u, n) == 1)
     offsets = {1, 2, c // 2 - 1, c // 2, (c + 1) // 2, c - 2, c - 1}
 
@@ -412,29 +447,47 @@ def test_half_range_giant_steps_find_an_orbit_mate_at_every_offset(monkeypatch, 
                 assert orbits._shares_an_orbit(q, n, c, [mate] + reps), (cap, t, i)
 
 
-def test_keys_decide_cyclic_unit_groups_exactly():
-    # when (Z/m)* is cyclic, u**c mod m is one key per orbit: two units
-    # share a key exactly when they share an orbit
-    ms = [m for m in range(1, 400) if orbits._is_cyclic(m, [p for p, _ in factorize(m) if p > 2])]
-    assert {1, 2, 4, 9, 25, 27, 50, 54, 243, 242} <= set(ms)
-    assert not {8, 12, 15, 16, 21, 24, 63, 100} & set(ms)
+def _units_are_cyclic(m):
+    """Whether (Z/m)* is cyclic: m = 1, 2, 4, p**e or 2*p**e for an odd
+    prime p."""
+    odd = [p for p, _ in factorize(m) if p > 2]
+    return m in (1, 2, 4) or len(odd) == 1 and m % 4 != 0
+
+
+def test_labels_decide_every_unit_group_exactly():
+    # over every (Z/m)*, m < 600, cyclic or not, two units share a label
+    # exactly when they share an orbit, with the units in a shuffled order
+    # so that the first unit of a key is any of them; a cyclic group has
+    # no free prime, so its labels are the keys u**c mod m alone
+    rng = random.Random(600)
+    free_ms = set()
     checked = 0
-    for m in ms:
+    for m in range(1, 600):
+        factors = factorize(m)
         units = [u for u in range(m) if math.gcd(u, m) == 1]
         assert len(units) == math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
         for q in (2, 3, 5, 7, m - 1, m + 1):
             if math.gcd(q, m) != 1:
                 continue
-            c = len(_orbit(q, m, 1))
-            leader = {u: min(_orbit(q, m, u)) for u in units}
-            key = {u: pow(u, c, m) for u in units}
-            by_key = {}
+            leader = {}
             for u in units:
-                by_key.setdefault(key[u], set()).add(leader[u])
-            assert all(len(leads) == 1 for leads in by_key.values()), (q, m)
-            assert len(by_key) == len(set(leader.values())), (q, m)
+                if u not in leader:
+                    orbit = _orbit(q, m, u)
+                    leader.update(dict.fromkeys(orbit, min(orbit)))
+            c = len(_orbit(q, m, 1))
+            free = orbits._free_primes(q, m, c, factors)
+            assert not (free and _units_are_cyclic(m)), (q, m, free)
+            if free:
+                free_ms.add(m)
+            rng.shuffle(units)
+            by_label = {}
+            for u, label in zip(units, orbits._labels(m, m, c, units, free)):
+                by_label.setdefault(label, set()).add(leader[u])
+            assert all(len(leads) == 1 for leads in by_label.values()), (q, m)
+            assert len(by_label) == len(set(leader.values())), (q, m)
             checked += 1
-    assert checked > 500, checked
+    assert {8, 12, 15, 16, 21, 24, 63, 100, 105, 256, 512, 585} <= free_ms
+    assert len(free_ms) > 350 and checked > 2500, (len(free_ms), checked)
 
 
 @pytest.mark.parametrize("n", [4, 2 * 3**7, 3**9, 5**6, 2 * 7**4, 11**4, 2 * 101**2])
@@ -479,6 +532,77 @@ def test_keys_prove_a_large_prime_quickly():
         assert orbits._is_partition(q, n, pairs)
         best = min(best, time.perf_counter() - t0)
     assert best < 0.02, best
+
+
+@pytest.mark.parametrize("q, n", [(4, 4849845), (2, 3113787), (3, 2**5 * 7**2 * 13**3)])
+def test_labels_refuse_an_orbit_mate_when_units_have_free_primes(monkeypatch, q, n):
+    # (Z/m)* is not cyclic and <q> does not fill its c-torsion for most m;
+    # those groups are labelled, not stepped or walked, and an orbit mate
+    # of another rep in one of them is refused there, while a rep moved
+    # within its own orbit still passes
+    pairs = tower._enumerate_pairs(q, n)
+    labels = orbits._labels
+    labelled = set()
+
+    def spy(n_, m, c, reps, free):
+        if free:
+            labelled.add(m)
+        return labels(n_, m, c, reps, free)
+
+    def refuse_labelled(q_, n_, c, reps):
+        assert n // math.gcd(reps[0], n) not in labelled, ("stepped or walked", c)
+        return shares(q_, n_, c, reps)
+
+    shares = orbits._shares_an_orbit
+    monkeypatch.setattr(orbits, "_labels", spy)
+    assert orbits._is_partition(q, n, pairs)
+    assert labelled
+    monkeypatch.setattr(orbits, "_shares_an_orbit", refuse_labelled)
+    rng = random.Random(n)
+    of_m = {}
+    for i, (rep, _) in enumerate(pairs):
+        of_m.setdefault(n // math.gcd(rep, n), []).append(i)
+    for m in rng.sample(sorted(labelled), min(len(labelled), 4)):
+        i, j = rng.sample(of_m[m], 2)
+        rep, size = pairs[i]
+        dup = list(pairs)
+        dup[i] = (rng.choice(_orbit(q, n, pairs[j][0])), size)
+        assert not orbits._is_partition(q, n, dup), (q, n, m)
+        moved = list(pairs)
+        moved[i] = (rng.choice(_orbit(q, n, rep)), size)
+        assert orbits._is_partition(q, n, moved), (q, n, m)
+
+
+def test_labels_prove_a_non_cyclic_group_quickly():
+    # n = 3*1037929: (Z/n)* = C_2 x C_1037928 is not cyclic, and 2 is a free
+    # prime of the orbit length 4,398 of its 472 reps. Capped baby-step
+    # giant-step took 13.7 ms (CPython 3.11, shared 2-vCPU machine), the
+    # labels about 2 ms
+    q, n = 2, 3113787
+    pairs = tower._enumerate_pairs(q, n)
+    best = math.inf
+    for _ in range(3):
+        orbits._exact_order.cache_clear()
+        t0 = time.perf_counter()
+        assert orbits._is_partition(q, n, pairs)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.008, best
+
+
+def test_labels_of_many_short_orbits_hold_one_entry_per_key():
+    # 356,960 reps of m = n with orbits of 23 elements; 23 is a free prime,
+    # and each key u**23 holds 23 reps. Walking them held one leader per
+    # rep, a tracemalloc peak of 37.7 MB; the labels hold one bit mask per
+    # key, 5.7 MB with the rep lists of `_is_partition`
+    q, n = 2, 8388607
+    pairs = tower._enumerate_pairs(q, n)
+    tracemalloc.start()
+    try:
+        assert orbits._is_partition(q, n, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 * 1024, peak
 
 
 def test_a_correct_partition_never_takes_the_open_walk(monkeypatch):

@@ -35,21 +35,28 @@ two different m. So:
   for each odd p**f || m and C_2 x C_(2**(f-2)) for 2**f || m, f >= 3,
   |K_r| is the product of gcd(r**a, o) over their orders o. For w in K,
   w**e lies in K_r, v -> v**e permutes K_r and kills every other part
-  of K, and q**e generates H_r, the r-part of H of order r**a; so w lies
-  in H exactly when w**e lies in <q**e> for each r. Where |K_r| = r**a
-  (r is not free) that always holds. So two units with one key, and u0
-  the first rep with that key, share an orbit exactly when, for each
-  free r, (u/u0)**e lies in one coset of <q**e>: the label is the key
-  and the ids of those cosets, one `pow` per rep and free prime, from a
-  table that walks r**a steps once per new coset (a cyclic (Z/m)* has
-  no free prime). Where the tables or the powers would cost more, a
-  baby-step giant-step search from each rep over the c//2 steps ahead
-  of it decides it in about sqrt(2c) steps per rep
-  (`_shares_an_orbit`), and a group whose counted walks cost no more is
-  walked for its leaders (`_collide`). `_is_partition` decides all this
-  without finding any leader; `_orbit_mismatches` asks it first, finds
-  leaders only to report what is wrong, and sweeps Z/nZ
-  (`_orbit_sweep`) only when the orbits reached do not cover it.
+  of K, and h = q**e generates H_r, the r-part of H of order r**a; so w
+  lies in H exactly when w**e lies in <h> for each r. Where
+  |K_r| = r**a (r is not free) that always holds. So two units with one
+  key, and u0 the first rep with that key, share an orbit exactly when,
+  for each free r, (u/u0)**e lies in one coset of <h>: the label is the
+  key and the ids of those cosets (a cyclic (Z/m)* has no free prime).
+- A coset y*<h> is known by one member of it, the one `_least_in_coset`
+  picks: for j = a-1 down to 0 it multiplies y by the h**(d*r**(a-1-j)),
+  d < r, that makes y**(r**j) mod m least. Two members y*h**t of one
+  coset that agree in the a-1-j lowest base-r digits of t have r**j-th
+  powers in one coset of <h**(r**(a-1))>, of order r, so step j fixes one
+  more digit, and every member of y*<h> reaches the same one, in about 2a
+  `pow`s and a*r products. Those members are numbered as they are met,
+  and each y met keeps its id, so a y met again costs one lookup; for k
+  reps that holds at most min(k, |K_r|) entries per free prime.
+- A key's ids are the bits of one int mask. Ids lie below |K|/c and
+  there are at most phi(m)/|K| keys, so all masks together hold at most
+  phi(m)/c bits, m/8 bytes at most, the bound of `_scan_group`'s bitmap.
+  `_is_partition` decides all this without finding any leader;
+  `_orbit_mismatches` asks it first, finds leaders only to report what
+  is wrong, and sweeps Z/nZ (`_orbit_sweep`) only when the orbits
+  reached do not cover it.
 """
 
 from __future__ import annotations
@@ -225,10 +232,10 @@ def _orbit_sweep(q, n, starts=()):
 def _is_partition(q: int, n: int, pairs) -> bool:
     """Whether the (rep, size) pairs are exactly the orbits mod n, one
     pair per orbit, by the proof of the module docstring: no leader is
-    found, and each m with two or more reps is told apart by labels, or
-    by `_shares_an_orbit` where labels cost more (`_collide`). False says
-    only that the check failed; a rep outside [0, n) gives False, and the
-    caller finds out what is wrong."""
+    found, and the reps of each m with two or more are told apart by
+    their labels (`_collide`). False says only that the check failed; a
+    rep outside [0, n) gives False, and the caller finds out what is
+    wrong."""
     claims: dict[int, int] = {}
     groups: dict[int, list[int]] = {}
     total = 0
@@ -250,23 +257,11 @@ def _is_partition(q: int, n: int, pairs) -> bool:
 
 def _collide(q: int, n: int, m: int, c: int, reps, factors) -> bool:
     """Whether two of the reps g*u, g = n/m, whose orbits mod n all have
-    exactly c elements, share an orbit: by their labels (`_labels`),
-    unless the id tables or the ids under one key would pass
-    _BSGS_ENTRIES, or, a `pow` costing about a dict step, the tables and
-    one power per rep and per free prime cost more than
-    `_shares_an_orbit`'s b + giant steps per rep. A key's ids are bits of
-    one int, so the labels of a matching partition take one dict entry
-    per key, not per rep."""
-    k = len(reps)
-    free = _free_primes(q, m, c, factors)
-    entries = sum(min(k, s) * ra for _, ra, s, _ in free)
-    ids = math.prod(s for _, _, s, _ in free)
-    if max(entries, ids) > _BSGS_ENTRIES or entries + k * (1 + len(free)) > k * sum(_steps(c, k)):
-        return _shares_an_orbit(q, n, c, reps)
-    if not free:
-        return len({key for key, _ in _labels(n, m, c, reps, free)}) < k
+    exactly c elements, share an orbit: whether two of their labels
+    (`_labels`) agree. A key's ids are bits of one int, so the labels of a
+    matching partition take one dict entry per key, not per rep."""
     seen: dict[int, int] = {}  # key -> bit mask of the ids met under it
-    for key, i in _labels(n, m, c, reps, free):
+    for key, i in _labels(n, m, c, reps, _free_primes(q, m, c, factors)):
         mask = seen.get(key, 0)
         if mask >> i & 1:
             return True
@@ -274,8 +269,8 @@ def _collide(q: int, n: int, m: int, c: int, reps, factors) -> bool:
     return False
 
 
-def _free_primes(q: int, m: int, c: int, factors) -> list[tuple[int, int, int, int]]:
-    """(c/r**a, r**a, s, q**(c/r**a) mod m) for each free prime r of c,
+def _free_primes(q: int, m: int, c: int, factors) -> list[tuple[int, int, int, int, int]]:
+    """(c/r**a, r, a, s, q**(c/r**a) mod m) for each free prime r of c,
     r**a || c: the r-part K_r of the c-torsion of (Z/m)* has s*r**a > r**a
     elements (see the module docstring). factors is the factorization of
     a multiple of m."""
@@ -288,7 +283,7 @@ def _free_primes(q: int, m: int, c: int, factors) -> list[tuple[int, int, int, i
         ra = r**a
         s = math.prod(math.gcd(ra, o) for o in orders) // ra
         if s > 1:
-            free.append((c // ra, ra, s, pow(q, c // ra, m)))
+            free.append((c // ra, r, a, s, pow(q, c // ra, m)))
     return free
 
 
@@ -297,79 +292,44 @@ def _labels(n: int, m: int, c: int, reps, free):
     and, packed in one int below the product of the s of `_free_primes`,
     the id of the coset of (u/u0)**(c/r**a) under <q**(c/r**a)> for each
     free prime r, u0 the first rep with the same key. Two reps share an
-    orbit exactly when their labels agree (see the module docstring). A
-    table per free prime numbers the cosets as they are met, walking
-    r**a steps for each new one."""
+    orbit exactly when their labels agree (see the module docstring).
+    Each free prime numbers the members `_least_in_coset` picks as they are
+    met, and keeps the id of each (u/u0)**(c/r**a) it met."""
     g = n // m
     inverses: dict[int, int] = {}
-    tables: list[dict[int, int]] = [{} for _ in free]
+    plans = [(e, r, a, s, h, {}, {}) for e, r, a, s, h in free]  # + ids by y met and by member
     for x in reps:
         u = x // g
         key = pow(u, c, m)
         i = 0
-        if free:
+        if plans:
             w = u * (inverses.get(key) or inverses.setdefault(key, pow(u, -1, m))) % m
-            for (e, ra, s, h), table in zip(free, tables):
+            for e, r, a, s, h, met, ids in plans:
                 y = pow(w, e, m)
-                j = table.get(y)
+                j = met.get(y)
                 if j is None:
-                    j = len(table) // ra
-                    for _ in repeat(None, ra):
-                        table[y] = j
-                        y = y * h % m
+                    j = met[y] = ids.setdefault(_least_in_coset(y, m, r, a, h), len(ids))
                 i = i * s + j
         yield key, i
 
 
-_BSGS_ENTRIES = 4096  # most baby steps, or coset id entries of `_labels`, held at once
-
-
-def _steps(c: int, k: int) -> tuple[int, int]:
-    """(b, giant): the baby and giant steps per rep of `_shares_an_orbit`
-    over k reps of orbit length c."""
-    half = c // 2
-    b = max(1, min(math.isqrt(half), _BSGS_ENTRIES // k))
-    return b, half // b
-
-
-def _shares_an_orbit(q: int, n: int, c: int, reps) -> bool:
-    """Whether two of the reps, whose orbits mod n all have exactly c
-    elements, lie in one orbit, by Shanks' baby-step giant-step over the
-    half = c//2 steps ahead of each rep (see the module docstring).
-
-    The first b elements x*q**i of every rep's orbit go into one dict
-    {element: index}, with b about sqrt(half) and at most _BSGS_ENTRIES
-    entries in all (`_steps`). x' = x*q**t for some 0 <= t <= half
-    exactly when some giant step x'*q**(-b*j), 0 <= j <= half//b, is a
-    baby step of x; j = 0 is x' itself, met on insert. A step that meets
-    another rep's index is a shared orbit; one that meets its own rep's
-    is not, since q**(b*j) may wrap round the orbit. When walking each
-    orbit for its least element costs no more, a walk step costing about
-    half a dict step (c <= 2*(b + half//b)), the leaders go into a set
-    instead (`_leaders_collide`).
-    """
-    b, giant = _steps(c, len(reps))
-    if c <= 2 * (b + giant):
-        return _leaders_collide(q, n, c, reps)
-    baby: dict[int, int] = {}
-    for i, x in enumerate(reps):
-        for _ in repeat(None, b):
-            if baby.setdefault(x, i) != i:
-                return True
-            x = x * q % n
-    step = pow(q, -b, n)
-    for i, x in enumerate(reps):
-        for _ in repeat(None, giant):
-            x = x * step % n
-            if baby.get(x, i) != i:
-                return True
-    return False
-
-
-def _leaders_collide(q: int, n: int, c: int, reps) -> bool:
-    """Whether two of the reps, whose orbits mod n all have exactly c
-    elements, have the same least element: a counted walk per rep."""
-    return len({_counted_leader(q, n, x, c) for x in reps}) < len(reps)
+def _least_in_coset(y: int, m: int, r: int, a: int, h: int) -> int:
+    """The member of the coset y*<h> mod m, h of order r**a, that every
+    member of it reaches: for j = a-1 down to 0, y times the
+    h**(d*r**(a-1-j)), d < r, that makes y**(r**j) mod m least (see the
+    module docstring). For a = 1 it is the least member; for a > 1 it
+    need not be."""
+    g = pow(h, r ** (a - 1), m)
+    for j in range(a - 1, -1, -1):
+        z = least = pow(y, r**j, m)
+        d = 0
+        for t in range(1, r):
+            z = z * g % m
+            if z < least:
+                least, d = z, t
+        if d:
+            y = y * pow(h, d * r ** (a - 1 - j), m) % m
+    return y
 
 
 def _orbit_mismatches(q, n, pairs) -> list[tuple]:

@@ -151,11 +151,10 @@ def verify(q: int, n: int, oracle_cap: int = ORACLE_CAP) -> VerificationReport:
     by the proof the `orbits` docstring states, and only a mismatching one
     gets the leader search that reports it. A matching partition holds,
     beyond its pairs, a claim and a rep list per m = n/gcd(rep, n), and
-    for the group of reps of one m at most `orbits._BSGS_ENTRIES` baby
-    steps or label id entries, plus one key per coset when no prime is
-    free, one inverse and one bit mask per key when one is, or one leader
-    per coset when the group is walked. n above `oracle_cap` is refused
-    before either path runs.
+    for the group of reps of one m one bit mask per key (at most m/8 bytes
+    in all), one inverse per key when a prime is free, and for each free
+    prime one id per coset member met, at most one per rep. n above
+    `oracle_cap` is refused before either path runs.
     """
     _check_qn(q, n)
     _check_total_walk(n, oracle_cap)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import re
@@ -267,14 +266,11 @@ def _corrupt_pairs(part, kind, rng):
     return pairs
 
 
-def _check_against_the_sweep(monkeypatch):
+def test_orbit_mismatches_match_the_sweep_reference():
     # the leader-free check in front of the report (`_is_partition`) is
-    # never True on a mismatch and always True on a match with int claims,
-    # also with the baby-step budget, which bounds the label tables too,
-    # forced down so that the walk branch, b = 1 and small b run
+    # never True on a mismatch and always True on a match with int claims
     rng = random.Random(9)
     qs = [q for q in range(2, 64) if len(factorize(q)) == 1]
-    caps = (1, 2, 8, orbits._BSGS_ENTRIES)
     kinds = range(-1, TWO_DROPPED + 1 + len(CLAIMS))
     seen_kinds = set()
     cases = mismatched = 0
@@ -286,83 +282,15 @@ def _check_against_the_sweep(monkeypatch):
         pairs = _corrupt_pairs(enumerate_cosets(q, n), kind, rng)
         expected = _sweep_mismatches(q, n, pairs)
         int_claims = all(type(c) is int for _, c in pairs)
-        for cap in caps:
-            with monkeypatch.context() as patch:
-                patch.setattr(orbits, "_BSGS_ENTRIES", cap)
-                verdict = orbits._is_partition(q, n, pairs)
-                assert not (verdict and expected), (q, n, kind, cap)
-                assert verdict or expected or not int_claims, (q, n, kind, cap)
-                if cap == caps[cases % len(caps)]:
-                    assert _orbit_mismatches(q, n, pairs) == expected, (q, n, kind, cap)
+        verdict = orbits._is_partition(q, n, pairs)
+        assert not (verdict and expected), (q, n, kind)
+        assert verdict or expected or not int_claims, (q, n, kind)
+        assert _orbit_mismatches(q, n, pairs) == expected, (q, n, kind)
         seen_kinds.add(kind)
         mismatched += bool(expected)
         cases += 1
     assert seen_kinds == set(kinds)
     assert 1_000 < mismatched < 1_700, mismatched
-
-
-def test_orbit_mismatches_match_the_sweep_reference(monkeypatch):
-    _check_against_the_sweep(monkeypatch)
-
-
-def _no_labels(q, n, m, c, reps, factors):
-    """`orbits._collide` with the labels refused: the baby-step giant-step
-    test, which steps or walks, takes every group."""
-    return orbits._shares_an_orbit(q, n, c, reps)
-
-
-def test_orbit_mismatches_match_the_sweep_reference_with_no_keys(monkeypatch):
-    # the same grid with no labels, so stepping and walking also see the
-    # groups labels decide
-    monkeypatch.setattr(orbits, "_collide", _no_labels)
-    _check_against_the_sweep(monkeypatch)
-
-
-def _collision_tests(monkeypatch, cap, grid):
-    """(walked, stepped, labelled with no free prime, labelled with one)
-    counts of the groups `_is_partition` tested for a shared orbit under
-    the given baby-step budget, which bounds the label tables too, each
-    split by verdict, over the grid's matching partitions and their
-    duplicates."""
-    counts = Counter()
-    collide, labels = orbits._collide, orbits._labels
-
-    def counted(name):
-        test = getattr(orbits, name)
-
-        def run(*args):
-            verdict = test(*args)
-            counts[name, verdict] += 1
-            return verdict
-
-        return run
-
-    def counted_labels(*args):
-        counts["_labels"] += 1
-        return labels(*args)
-
-    def counted_collide(q, n, m, c, reps, factors):
-        calls = counts["_labels"]
-        verdict = collide(q, n, m, c, reps, factors)
-        if counts["_labels"] > calls:
-            free = bool(orbits._free_primes(q, m, c, factors))
-            counts["labelled", free, verdict] += 1
-        return verdict
-
-    def branches(verdict):
-        walked = counts["_leaders_collide", verdict]
-        stepped = counts["_shares_an_orbit", verdict] - walked
-        return walked, stepped, counts["labelled", False, verdict], counts["labelled", True, verdict]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(orbits, "_BSGS_ENTRIES", cap)
-        for name in ("_leaders_collide", "_shares_an_orbit"):
-            patch.setattr(orbits, name, counted(name))
-        patch.setattr(orbits, "_labels", counted_labels)
-        patch.setattr(orbits, "_collide", counted_collide)
-        for q, n, pairs in grid:
-            orbits._is_partition(q, n, pairs)
-    return {v: branches(v) for v in (False, True)}
 
 
 def test_every_collision_branch_runs_and_refuses_a_duplicate(monkeypatch):
@@ -385,66 +313,24 @@ def test_every_collision_branch_runs_and_refuses_a_duplicate(monkeypatch):
             dup[i] = (rng.choice(_orbit(q, n, pairs[j][0])), pairs[j][1])
             grid.append((q, n, dup))
             dups += 1
-    default = _collision_tests(monkeypatch, orbits._BSGS_ENTRIES, grid)
-    (walked, stepped, plain, free), (walked_dup, stepped_dup, plain_dup, free_dup) = (
-        default[False],
-        default[True],
-    )
-    assert walked > 100 and stepped > 50 and plain > 100 and free > 100, default
-    assert walked_dup > 5 and stepped_dup > 2 and plain_dup > 20 and free_dup > 20, default
+    # count the groups tested for a shared orbit by verdict, and by
+    # whether a free prime adds coset ids to the keys
+    counts = Counter()
+    collide = orbits._collide
+
+    def counted_collide(q, n, m, c, reps, factors):
+        verdict = collide(q, n, m, c, reps, factors)
+        counts[bool(orbits._free_primes(q, m, c, factors)), verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(orbits, "_collide", counted_collide)
+    for q, n, pairs in grid:
+        orbits._is_partition(q, n, pairs)
+    assert counts[False, False] > 100 and counts[True, False] > 100, counts
+    assert counts[False, True] > 20 and counts[True, True] > 20, counts
     # each duplicate is refused by exactly one group, and no matching
     # partition is refused
-    assert sum(default[True]) == dups > 100, (dups, default)
-    # with at most 2 entries in all, every group of k >= 2 reps with a free
-    # prime needs an id table of at least 4, and gets b = 1 and c//2 giant
-    # steps, and c <= 2*(1 + c//2) walks it; labels with no free prime do
-    # not depend on the budget
-    for cap in (1, 2):
-        forced = _collision_tests(monkeypatch, cap, grid)
-        assert forced == {
-            v: (w + s + f, 0, p, 0) for v, (w, s, p, f) in default.items()
-        }, (cap, forced, default)
-    # with no labels, every group is stepped or walked, and stepping
-    # refuses its share of the duplicates
-    monkeypatch.setattr(orbits, "_collide", _no_labels)
-    unlabelled = _collision_tests(monkeypatch, orbits._BSGS_ENTRIES, grid)
-    assert all(
-        sum(unlabelled[v]) == sum(default[v]) and unlabelled[v][2:] == (0, 0) for v in unlabelled
-    ), (unlabelled, default)
-    assert unlabelled[False][1] > 100 and unlabelled[True][1] > 20, unlabelled
-
-
-# (q, n) whose units mod n, a non-cyclic group, form one group of reps of
-# orbit length c: c = 30, 41, 145, and 476 over 288 reps, where the cap
-# leaves b = 4096 // 289 = 14 baby steps against isqrt(238) = 15
-HALF_RANGE_CASES = ((2, 77), (7, 249), (3, 649), (7, 171365))
-
-
-@pytest.mark.parametrize("q, n", HALF_RANGE_CASES)
-def test_half_range_giant_steps_find_an_orbit_mate_at_every_offset(monkeypatch, q, n):
-    # x' = x*q**t is t steps ahead of x and c - t behind it; the giant steps
-    # reach only c//2 ahead, so the rep behind finds the pair. The offsets
-    # around c//2 need the last giant step.
-    reps = [rep for rep, _ in tower._enumerate_pairs(q, n) if math.gcd(rep, n) == 1]
-    c = len(_orbit(q, n, reps[0]))
-    assert not _units_are_cyclic(n)
-    assert len(reps) > 1 and c * len(reps) == sum(1 for u in range(n) if math.gcd(u, n) == 1)
-    offsets = {1, 2, c // 2 - 1, c // 2, (c + 1) // 2, c - 2, c - 1}
-
-    def refuse_walk(*args):
-        raise AssertionError(f"walked {args}")
-
-    default = orbits._BSGS_ENTRIES
-    for cap in (1, 2, default):
-        with monkeypatch.context() as patch:
-            patch.setattr(orbits, "_BSGS_ENTRIES", cap)
-            if cap == default:
-                patch.setattr(orbits, "_leaders_collide", refuse_walk)
-            assert not orbits._shares_an_orbit(q, n, c, reps), cap
-            for t, i in itertools.product(offsets, (0, len(reps) // 2, -1)):
-                mate = reps[i] * pow(q, t, n) % n
-                assert orbits._shares_an_orbit(q, n, c, reps + [mate]), (cap, t, i)
-                assert orbits._shares_an_orbit(q, n, c, [mate] + reps), (cap, t, i)
+    assert counts[False, True] + counts[True, True] == dups > 100, (dups, counts)
 
 
 def _units_are_cyclic(m):
@@ -490,13 +376,37 @@ def test_labels_decide_every_unit_group_exactly():
     assert len(free_ms) > 350 and checked > 2500, (len(free_ms), checked)
 
 
+@pytest.mark.parametrize("m, r, a", [(17 * 41, 2, 3), (19 * 37, 3, 2), (2**6 * 17, 2, 3)])
+def test_least_in_coset_picks_one_member_per_coset(m, r, a):
+    # (Z/m)* is not cyclic: C_16 x C_40, C_18 x C_36 and C_2 x C_16 x C_16,
+    # so it holds several subgroups <h> of order r**a; every member of
+    # y*<h> must reach one member of it, and distinct cosets distinct ones
+    assert not _units_are_cyclic(m)
+    units = [u for u in range(m) if math.gcd(u, m) == 1]
+    hs = [h for h in units if pow(h, r**a, m) == 1 and pow(h, r ** (a - 1), m) != 1]
+    assert len(hs) > r**a, len(hs)
+    for h in random.Random(m).sample(hs, 6):
+        subgroup = [pow(h, t, m) for t in range(r**a)]
+        picked = {}
+        for y in units:
+            coset = frozenset(y * x % m for x in subgroup)
+            least = orbits._least_in_coset(y, m, r, a, h)
+            assert least in coset, (m, h, y)
+            assert picked.setdefault(coset, least) == least, (m, h, y)
+        assert len(set(picked.values())) == len(picked) == len(units) // r**a
+
+
 @pytest.mark.parametrize("n", [4, 2 * 3**7, 3**9, 5**6, 2 * 7**4, 11**4, 2 * 101**2])
 def test_keys_refuse_an_orbit_mate_when_units_are_cyclic(monkeypatch, n):
-    # every m | n is cyclic, so no group is stepped or walked
-    def refuse(*args):
-        raise AssertionError(f"stepped or walked {args}")
+    # every m | n is cyclic, so no prime is free and the keys alone decide
+    # every group
+    labels = orbits._labels
 
-    monkeypatch.setattr(orbits, "_shares_an_orbit", refuse)
+    def keys_only(n_, m, c, reps, free):
+        assert not free, (n_, m, c, free)
+        return labels(n_, m, c, reps, free)
+
+    monkeypatch.setattr(orbits, "_labels", keys_only)
     rng = random.Random(n)
     for q in (3, 5, 7, 9, 13, 17, 19, 27):
         if math.gcd(q, n) != 1:
@@ -537,9 +447,8 @@ def test_keys_prove_a_large_prime_quickly():
 @pytest.mark.parametrize("q, n", [(4, 4849845), (2, 3113787), (3, 2**5 * 7**2 * 13**3)])
 def test_labels_refuse_an_orbit_mate_when_units_have_free_primes(monkeypatch, q, n):
     # (Z/m)* is not cyclic and <q> does not fill its c-torsion for most m;
-    # those groups are labelled, not stepped or walked, and an orbit mate
-    # of another rep in one of them is refused there, while a rep moved
-    # within its own orbit still passes
+    # an orbit mate of another rep in one of those groups is refused there,
+    # while a rep moved within its own orbit still passes
     pairs = tower._enumerate_pairs(q, n)
     labels = orbits._labels
     labelled = set()
@@ -549,15 +458,9 @@ def test_labels_refuse_an_orbit_mate_when_units_have_free_primes(monkeypatch, q,
             labelled.add(m)
         return labels(n_, m, c, reps, free)
 
-    def refuse_labelled(q_, n_, c, reps):
-        assert n // math.gcd(reps[0], n) not in labelled, ("stepped or walked", c)
-        return shares(q_, n_, c, reps)
-
-    shares = orbits._shares_an_orbit
     monkeypatch.setattr(orbits, "_labels", spy)
     assert orbits._is_partition(q, n, pairs)
     assert labelled
-    monkeypatch.setattr(orbits, "_shares_an_orbit", refuse_labelled)
     rng = random.Random(n)
     of_m = {}
     for i, (rep, _) in enumerate(pairs):
@@ -587,6 +490,49 @@ def test_labels_prove_a_non_cyclic_group_quickly():
         assert orbits._is_partition(q, n, pairs)
         best = min(best, time.perf_counter() - t0)
     assert best < 0.008, best
+
+
+@pytest.mark.parametrize(
+    "q, n, cosets, large",
+    [(7, 2**12 * 3**10 * 5**6, 79_485, 60), (5, 2**20 * 3**8 * 7**4, 14_328, 439)],
+)
+def test_labels_prove_a_partition_past_the_oracle_cap_quickly(q, n, cosets, large):
+    # n is far above ORACLE_CAP, so `_is_partition` is called directly. In
+    # the large groups, listing the cosets of <q**(c/r**a)> met for a free
+    # prime r would take more than 4096 entries (up to 16*512 for orbits of
+    # up to 6.3e9 elements mod 3.8e12, 8*2**18 mod 1.65e13): baby-step
+    # giant-step search stepped them and did not finish either check in
+    # 300 s; labels take about 0.6 s (CPython 3.11, shared 2-vCPU machine).
+    # An orbit mate of another rep in a large group is refused, and a rep
+    # moved within its own orbit still passes
+    pairs = tower._enumerate_pairs(q, n)
+    assert len(pairs) == cosets
+    t0 = time.perf_counter()
+    assert orbits._is_partition(q, n, pairs)
+    assert time.perf_counter() - t0 < 10
+    factors = factorize(n)
+    of_m = {}
+    for i, (rep, _) in enumerate(pairs):
+        of_m.setdefault(n // math.gcd(rep, n), []).append(i)
+    large_ms = [
+        m
+        for m, group in of_m.items()
+        if any(
+            min(len(group), s) * r**a > 4096
+            for _, r, a, s, _ in orbits._free_primes(q, m, pairs[group[0]][1], factors)
+        )
+    ]
+    assert len(large_ms) == large, len(large_ms)
+    rng = random.Random(n)
+    for m in rng.sample(large_ms, 2):
+        i, j = rng.sample(of_m[m], 2)
+        rep, size = pairs[i]
+        dup = list(pairs)
+        dup[i] = (pairs[j][0] * pow(q, rng.randrange(size), n) % n, size)
+        assert not orbits._is_partition(q, n, dup), (q, n, m)
+        moved = list(pairs)
+        moved[i] = (rep * pow(q, rng.randrange(1, size), n) % n, size)
+        assert orbits._is_partition(q, n, moved), (q, n, m)
 
 
 def test_labels_of_many_short_orbits_hold_one_entry_per_key():
@@ -764,20 +710,26 @@ def test_leader_map_scans_for_most_leaders_with_an_eighth_byte_per_residue(monke
 
 
 def test_a_matching_verify_finds_no_leader(monkeypatch):
-    # certified sizes, their total and an orbit-collision test per m prove
-    # the partition, so no leader is searched for, and no bitmap is built
+    # certified sizes, their total and labels per m prove the partition,
+    # so no orbit is walked, no leader is searched for, and no bitmap is
+    # built
     def no_search(*args):
         raise AssertionError(f"verify searched for leaders: {args}")
 
     n = 2**5 * 3**5 * 7**3
     with monkeypatch.context() as patch:
-        for name in ("_leaders", "_scan_group", "_orbit_leader", "_orbit_sweep"):
+        for name in (
+            "_leaders",
+            "_scan_group",
+            "_orbit_leader",
+            "_counted_leader",
+            "_open_walk",
+            "_orbit_sweep",
+        ):
             patch.setattr(orbits, name, no_search)
         assert verify(5, n).match
         # 2 is a primitive root mod 3**k: one coset per m, so no group has
-        # two reps to tell apart, and nothing is walked at all
-        for name in ("_shares_an_orbit", "_leaders_collide", "_open_walk"):
-            patch.setattr(orbits, name, no_search)
+        # two reps to tell apart
         assert verify(2, 3**14).match
     # a leader search would hold the scan's bitmap of n/8 = 333,396 B on
     # top of the pairs; the leader-free check holds no bitmap

@@ -18,9 +18,11 @@ two different m. So:
   true length, and the walk for the least element, the leader, is a
   counted loop (`_counted_leader`); any other claim is walked until the
   orbit returns (`_open_walk`). `_orbit_leader` picks between the two.
-- The leader of g*u is g*r for the least r >= 1 with r*u^-1 mod m in H,
-  so `_leaders` scans one bitmap of H mod m, at most n/8 bytes, for the
-  long orbits of one m (`_scan_group`) and walks the rest.
+- The leader of g*u is g*r for the least r >= 1 in u*H. The labels
+  below agree exactly on one orbit, so `_scan_group` labels the reps of
+  one m and then r = 1, 2, ... in one pass, and the first r to reach a
+  rep's label is its leader. `_leaders` does so for the long orbits of
+  each m and walks the rest.
 - (rep, size) pairs are exactly the orbits mod n, one pair per orbit,
   when every claim is an int certified once per m, so that every rep of
   that m has an orbit of the claimed length c; the claims add up to n;
@@ -52,7 +54,7 @@ two different m. So:
   reps that holds at most min(k, |K_r|) entries per free prime.
 - A key's ids are the bits of one int mask. Ids lie below |K|/c and
   there are at most phi(m)/|K| keys, so all masks together hold at most
-  phi(m)/c bits, m/8 bytes at most, the bound of `_scan_group`'s bitmap.
+  phi(m)/c bits, one per orbit of that m.
   `_is_partition` decides all this without finding any leader;
   `_orbit_mismatches` asks it first, finds leaders only to report what
   is wrong, and sweeps Z/nZ (`_orbit_sweep`) only when the orbits
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 
 from .arith import CACHE_SIZE, factorize
 
@@ -143,8 +145,9 @@ def _leaders(q: int, n: int, pairs) -> list[tuple[int, int]]:
 
     The pairs whose claim c is an int that `_exact_order` certifies are
     grouped by (m, c), m = n/gcd(rep, n); a group of two or more reps with
-    c*c > m is scanned (`_scan_group`), about m/c steps per rep against
-    the walk's c. Every other pair is walked by `_orbit_leader`.
+    c*c > m is scanned (`_scan_group`), one pass over the units mod m up
+    to the group's largest leader against the walk's c steps per rep.
+    Every other pair is walked by `_orbit_leader`.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (rep, claimed) in enumerate(pairs):
@@ -154,9 +157,11 @@ def _leaders(q: int, n: int, pairs) -> list[tuple[int, int]]:
         if type(claimed) is int and claimed * claimed > m and _exact_order(q, m, claimed):
             groups.setdefault((m, claimed), []).append(i)
     out: list = [None] * len(pairs)
+    factors = factorize(n)
     for (m, c), group in groups.items():
         if len(group) > 1:
-            for i, found in zip(group, _scan_group(q, n, m, c, [pairs[i][0] for i in group])):
+            reps = [pairs[i][0] for i in group]
+            for i, found in zip(group, _scan_group(q, n, m, c, reps, factors)):
                 out[i] = found
     return [
         found or _orbit_leader(q, n, rep, claimed)
@@ -164,35 +169,30 @@ def _leaders(q: int, n: int, pairs) -> list[tuple[int, int]]:
     ]
 
 
-def _scan_group(q: int, n: int, m: int, c: int, reps) -> list[tuple[int, int]]:
-    """(leader, c) of each rep g*u, g = n/m, whose orbit has exactly c
-    elements mod n, by the subgroup scan of the module docstring.
-
-    H = <q> is marked in a bitmap of m bits, c steps from 1; the bitmap
-    lives for this call only, so at most n/8 bytes are held. The scan
-    steps x = r*u^-1 mod m for r = 1, 2, ... until x lies in H. A scan
-    that passes c steps with no hit falls back to the counted walk.
-    """
-    bits = bytearray((m >> 3) + 1)
-    h = 1
-    for _ in repeat(None, c):
-        bits[h >> 3] |= 1 << (h & 7)
-        h = h * q % m
+def _scan_group(q: int, n: int, m: int, c: int, reps, factors) -> list[tuple[int, int]]:
+    """(leader, c) of each rep g*u, g = n/m, whose orbit mod n has exactly
+    c elements: the first x = g*u', u' = 1, 2, ..., whose label
+    (`_labels`) is the rep's. Labels agree exactly on one orbit, so the
+    first x of the ascending scan to reach a label is its least element.
+    The reps and the scan are labelled in one call, so that they share
+    each key's u0 and each free prime's coset ids; only the u' whose key
+    u'**c mod m is a rep's key are labelled (a non-unit has no unit key),
+    and the scan stops once every rep's label is reached. factors is the
+    factorization of n."""
     g = n // m
-    out = []
-    for rep in reps:
-        v = pow(rep // g, -1, m)
-        x = 0
-        for r in range(1, c + 1):
-            x += v
-            if x >= m:
-                x -= m
-            if bits[x >> 3] >> (x & 7) & 1:
-                out.append((g * r, c))
+    keys = {pow(x // g, c, m) for x in reps}
+    scan = (g * u for u in count(1) if pow(u, c, m) in keys)
+    labels = _labels(n, m, c, chain(reps, scan), _free_primes(q, m, c, factors))
+    own = [(key, i) for _, (_, key, i) in zip(range(len(reps)), labels)]
+    left = set(own)
+    leader = {}
+    for x, key, i in labels:
+        if (key, i) in left:
+            left.remove((key, i))
+            leader[key, i] = x
+            if not left:
                 break
-        else:
-            out.append(_orbit_leader(q, n, rep, c))
-    return out
+    return [(leader[label], c) for label in own]
 
 
 def _unvisited(visited: bytearray):
@@ -261,7 +261,7 @@ def _collide(q: int, n: int, m: int, c: int, reps, factors) -> bool:
     (`_labels`) agree. A key's ids are bits of one int, so the labels of a
     matching partition take one dict entry per key, not per rep."""
     seen: dict[int, int] = {}  # key -> bit mask of the ids met under it
-    for key, i in _labels(n, m, c, reps, _free_primes(q, m, c, factors)):
+    for _, key, i in _labels(n, m, c, reps, _free_primes(q, m, c, factors)):
         mask = seen.get(key, 0)
         if mask >> i & 1:
             return True
@@ -288,13 +288,14 @@ def _free_primes(q: int, m: int, c: int, factors) -> list[tuple[int, int, int, i
 
 
 def _labels(n: int, m: int, c: int, reps, free):
-    """(key, id) for each rep g*u, g = n/m, in order: the key u**c mod m
-    and, packed in one int below the product of the s of `_free_primes`,
-    the id of the coset of (u/u0)**(c/r**a) under <q**(c/r**a)> for each
-    free prime r, u0 the first rep with the same key. Two reps share an
-    orbit exactly when their labels agree (see the module docstring).
-    Each free prime numbers the members `_least_in_coset` picks as they are
-    met, and keeps the id of each (u/u0)**(c/r**a) it met."""
+    """(x, key, id) for each x = g*u of reps, g = n/m, in order: the key
+    u**c mod m and, packed in one int below the product of the s of
+    `_free_primes`, the id of the coset of (u/u0)**(c/r**a) under
+    <q**(c/r**a)> for each free prime r, u0 the first x with the same key.
+    Two reps share an orbit exactly when their labels agree (see the
+    module docstring). Each free prime numbers the members
+    `_least_in_coset` picks as they are met, and keeps the id of each
+    (u/u0)**(c/r**a) it met."""
     g = n // m
     inverses: dict[int, int] = {}
     plans = [(e, r, a, s, h, {}, {}) for e, r, a, s, h in free]  # + ids by y met and by member
@@ -310,7 +311,7 @@ def _labels(n: int, m: int, c: int, reps, free):
                 if j is None:
                     j = met[y] = ids.setdefault(_least_in_coset(y, m, r, a, h), len(ids))
                 i = i * s + j
-        yield key, i
+        yield x, key, i
 
 
 def _least_in_coset(y: int, m: int, r: int, a: int, h: int) -> int:
@@ -343,8 +344,8 @@ def _orbit_mismatches(q, n, pairs) -> list[tuple]:
     earlier rep already reached lies in that rep's orbit. Distinct orbits
     are disjoint, so only when the lengths of the orbits reached fall
     short of n does one `_orbit_sweep` find the missed orbits. A
-    mismatching partition holds O(number of pairs) plus one bitmap of at
-    most n/8 bytes unless an orbit was missed.
+    mismatching partition holds O(number of pairs) plus the labels of one
+    leader scan unless an orbit was missed.
     """
     _require_coprime(q, n)
     if _is_partition(q, n, pairs):

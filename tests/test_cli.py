@@ -468,3 +468,36 @@ def test_cli_output_matches_recorded_digest(capsys, workload, fmt):
     assert main(["enumerate", "--q", str(case["q"]), "--n", str(case["n"]), "--format", fmt]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == case[fmt]
+
+
+# sha256 of `enumerate --with-leaders`, recorded before the leader search
+# became a label scan: long orbits' leaders must stay byte-identical
+_LEADER_DIGESTS = {
+    (5, 2667168): {
+        "csv": "f05c8ec77c3b065d37848a8aa58b94b5c9f4f820464f7d604074480f0da1fe7e",
+        "json": "fb11d0ec58cb7056f36ea1ba123159f3c049c065313c82aa9db51a87982decec",
+        "table": "e88a4e27a16707d733c4d9a342a9d3abba26774b0314b02ea91ebfb4cb5de0b9",
+    },
+    (2, 3113787): {
+        "csv": "e0349746f840b3be2b1999a5f531917ab8ac79655c5974326c20f7077923d4af",
+        "json": "8aef00a92c80b6b4697d4defcb39695d280203ae61fd792de1626685cdf21793",
+        "table": "04989153bfb84c5e840aeba2e14ca7abed4fb7dbf3b7f428acba0481a78f1121",
+    },
+    (31, 2750000): {
+        "csv": "e29a60679d02b6fbf8b920380253b8243224a8d0e64e53416ee8fd7ef0531ffa",
+        "json": "5cf918374f90ec3d9a78b18f232738414259b29e8e54324f61f769658bb6cbe8",
+        "table": "e914ad9e4f0be5351e5c6da55e7673c344bfe566759dd69564fec5be8b7dab7f",
+    },
+    (7, 8388608): {
+        "csv": "f048208006765e78bd517cee8e64d71966695be5c947a011fc6a8e70274f26dd",
+        "json": "6c8498407fc150ca5480edfa23c8faee482406140a3399b2594e0d4a448ff1ac",
+        "table": "a4f5af2a6727ab422903a5a4025b3c561a16534bc89b98ab396b3a6aa3f3e07d",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("q, n", sorted(_LEADER_DIGESTS))
+def test_with_leaders_output_matches_recorded_digest(q, n, fmt):
+    out = _enumerate_out(q, n, fmt, "--with-leaders").encode()
+    assert hashlib.sha256(out).hexdigest() == _LEADER_DIGESTS[q, n][fmt]

@@ -367,8 +367,9 @@ def test_labels_decide_every_unit_group_exactly():
                 free_ms.add(m)
             rng.shuffle(units)
             by_label = {}
-            for u, label in zip(units, orbits._labels(m, m, c, units, free)):
-                by_label.setdefault(label, set()).add(leader[u])
+            for u, (x, key, i) in zip(units, orbits._labels(m, m, c, units, free)):
+                assert x == u, (q, m)
+                by_label.setdefault((key, i), set()).add(leader[u])
             assert all(len(leads) == 1 for leads in by_label.values()), (q, m)
             assert len(by_label) == len(set(leader.values())), (q, m)
             checked += 1
@@ -680,11 +681,11 @@ def test_verify_memory_is_independent_of_n():
     assert peak < 16 * 1024, peak
 
 
-def test_leader_map_scans_for_most_leaders_with_an_eighth_byte_per_residue(monkeypatch):
+def test_leader_map_scans_for_most_leaders_in_bounded_memory(monkeypatch):
     # most of the 1,386 orbits are long enough that their leaders come
-    # from a scan of <q> mod m, m <= n, marked in one bitmap of m bits;
-    # beyond the bitmap the peak holds a pair and a leader per coset, so
-    # the slack is 400 KiB
+    # from a label scan of the units mod m, m <= n; the peak holds a pair
+    # and a leader per coset and the labels met, about 214 KiB, where one
+    # bitmap of <q> mod m (m/8 bytes) made it 443 KiB
     n = 2**5 * 3**5 * 7**3
     part = enumerate_cosets(5, n)
     part.leader_map()  # warm caches
@@ -706,13 +707,12 @@ def test_leader_map_scans_for_most_leaders_with_an_eighth_byte_per_residue(monke
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n // 8 + 400 * 1024, peak
+    assert peak < 320 * 1024, peak
 
 
 def test_a_matching_verify_finds_no_leader(monkeypatch):
     # certified sizes, their total and labels per m prove the partition,
-    # so no orbit is walked, no leader is searched for, and no bitmap is
-    # built
+    # so no orbit is walked and no leader is searched for
     def no_search(*args):
         raise AssertionError(f"verify searched for leaders: {args}")
 
@@ -731,8 +731,8 @@ def test_a_matching_verify_finds_no_leader(monkeypatch):
         # 2 is a primitive root mod 3**k: one coset per m, so no group has
         # two reps to tell apart
         assert verify(2, 3**14).match
-    # a leader search would hold the scan's bitmap of n/8 = 333,396 B on
-    # top of the pairs; the leader-free check holds no bitmap
+    # the leader-free check holds the partition and one bit mask per key,
+    # about 90 KB, and nothing per residue of the n = 2,667,168
     tracemalloc.start()
     try:
         assert verify(5, n).match

@@ -4,10 +4,12 @@ A coset modulo m does one of three things when the modulus is extended
 to ell*m: it semi-splits (one child keeps its size, the rest grow by the
 order of q**tau mod ell), splits into ell children of equal size, or
 stays a single coset of ell-fold size. Chasing these one-step behaviors
-through a whole ell-power tower is what `enumerate_branch` does in closed
-form: every branch over a base coset is indexed by the digit position m
-where it leaves the principal digit stream of -gamma/n, a substituted
-digit at that position, and a short tail of free digits.
+through a whole ell-power tower is done in closed form: every branch
+over a base coset is indexed by the digit position m where it leaves the
+principal digit stream of -gamma/n, a substituted digit at that position,
+and a short tail of free digits. `_depth_slice` is the one expansion of
+these branch families into cosets; `enumerate_branch` labels what it
+emits with (m, digit, tail) and the closed-form sizes at every depth.
 
 The paper's valuation rule for the three kinds is stated once, in the
 branch plan (`_base_params`, `_stable_size`). `classify` shares no
@@ -302,11 +304,13 @@ def _stable_size(ell, tau, o, v, lift, m, N):
 
 
 class _Step(NamedTuple):
-    # one departure position m of a branch plan
+    # one departure position m of a branch plan: the families departing
+    # at m are one per substituted digit and tail, in the order
+    # `_depth_slice` emits them (digit-major, tails lexicographic)
     power: int  # ell**m
     size: int  # depth-f size of every family departing at m
-    tails: list[tuple[tuple[int, ...], int]]  # (tail digits t, their value in the series)
-    offsets: list[int]  # n * value for each tail, in the same order
+    tails: list[tuple[int, ...]]  # tail digits t, starting `lift` positions above m
+    offsets: list[int]  # n * (value of t in the digit series), in the same order
 
 
 class _BranchPlan(NamedTuple):
@@ -343,7 +347,9 @@ def _branch_plan(ell, q, n, tau, f):
 
     Tails hold the free digits that still matter at depth f, starting
     `lift` positions above m, so distinct families give distinct cosets
-    modulo ell**f * n.
+    modulo ell**f * n. Each tail's offset is read from its digits once,
+    here, with n folded into the base; `_depth_slice` adds the offsets
+    and `enumerate_branch` reads the digits.
     """
     regime, o, v = _base_params(ell, q, tau)
     shifts = transversal_R(ell, q, tau) if f and regime is Regime.SEMI_SPLITTING else None
@@ -352,42 +358,29 @@ def _branch_plan(ell, q, n, tau, f):
     for m in range(f):
         power = ell**m
         t_len = min(v - 1, max(0, f - m - lift))
-        tail_base = power * ell**lift
-        tails = [
-            (t, tail_base * digits_value(ell, t)) for t in product(range(ell), repeat=t_len)
-        ]
+        tails = list(product(range(ell), repeat=t_len))
+        tail_base = n * power * ell**lift
         size = _stable_size(ell, tau, o, v, lift, m, f)
-        steps.append(_Step(power, size, tails, [n * tail for _t, tail in tails]))
+        steps.append(_Step(power, size, tails, [tail_base * digits_value(ell, t) for t in tails]))
     return _BranchPlan(ell, regime, o, v, lift, shifts, pow(n, -1, ell), tuple(steps))
-
-
-def _stable_families(plan, phi):
-    """Yield (m, index, digit, t, value) for every stable family of `plan`.
-
-    `phi` holds the digits of -gamma/n, one per step of the plan. `value`
-    is the full digit series as an integer: the principal prefix below m,
-    the substituted digit at m, then the tail digits.
-    """
-    prefix = 0
-    for m, (power, _size, tails, _offsets) in enumerate(plan.steps):
-        for i, u in enumerate(plan.substitutes(phi[m]), 1):
-            head = prefix + u * power
-            for t, tail in tails:
-                yield m, i, u, t, head + tail
-        prefix += phi[m] * power
 
 
 def _depth_slice(ell, q, n, gamma, tau, f, plans):
     """(rep, size) of every depth-f coset over the orbit of gamma mod n.
 
-    The lean path of whole-partition lifting, in two parts. The plan for
+    The one expansion of the branch families, in two parts. The plan for
     base size tau comes from `plans`, a dict keyed by tau that the caller
     shares across the base cosets of one lift (a one-off caller passes an
     empty dict); it is built on first use.
     The expansion then walks only the digits of -gamma/n (gamma in
-    [0, n), ell already checked prime), emitting one block of tail offsets
-    per substituted digit and the principal coset last. Every value lies
-    below ell**f * n, so nothing is reduced.
+    [0, n), ell already checked prime), emitting per departure position m
+    one block of tail offsets per substituted digit, and the principal
+    coset last. Every value lies below ell**f * n, so nothing is reduced.
+    `enumerate_branch` labels this output in the same order, and
+    `_decompose_with_tau` puts its principal coset first.
+    The digit recurrence of -gamma/n stays inline on purpose: it runs
+    once per base coset, in the lift's inner loop, where `phi_digits`
+    would check that ell is prime on every call.
     """
     plan = plans.get(tau)
     if plan is None:
@@ -412,35 +405,43 @@ def enumerate_branch(ell: int, q: int, n: int, gamma: int, f: int) -> list[Branc
     Returns the principal descriptor first, then the stable descriptors
     ordered by departure position m, substitution index, and tail digits
     (lexicographic). The depth-f components of all descriptors together
-    partition the preimage of the base coset modulo ell**f * n.
+    partition the preimage of the base coset modulo ell**f * n: they are
+    the cosets of `_depth_slice`, labelled in the order it emits them.
     """
     _check_tower(ell, q, n, f)
     gamma %= n
     tau = size_of(q, n, gamma)
     plan = _branch_plan(ell, q, n, tau, f)
-    phi = phi_digits(ell, n, gamma, f)
+    *stable, (principal, _tau) = _depth_slice(ell, q, n, gamma, tau, f, {tau: plan})
     regime, o, v, lift = plan.regime, plan.o, plan.v, plan.lift
 
-    def comps(value, size_at):
-        # gamma + n * (value mod ell**N) is below ell**N * n: no reduction
-        return tuple((N, gamma + n * (value % ell**N), size_at(N)) for N in range(f + 1))
+    def comps(rep, size_at):
+        # rep = gamma + n * (digit series) with gamma < n, so its depth-N
+        # component is rep mod ell**N * n
+        return tuple((N, rep % (ell**N * n), size_at(N)) for N in range(f + 1))
 
     out = [
         BranchDescriptor(
             ell, q, n, gamma, tau, regime, o, v,
             PRINCIPAL, None, None, None, (),
             math.inf, math.inf,
-            comps(digits_value(ell, phi), lambda N: tau),
+            comps(principal, lambda N: tau),
         )
     ]
+    labels = (
+        (m, i, u, t)
+        for m, step in enumerate(plan.steps)
+        for i, u in enumerate(plan.substitutes((principal - gamma) // (n * step.power) % ell), 1)
+        for t in step.tails
+    )
     s_offset = v + lift - 2
-    for m, i, u, t, value in _stable_families(plan, phi):
+    for (m, i, u, t), (rep, _size) in zip(labels, stable, strict=True):
         out.append(
             BranchDescriptor(
                 ell, q, n, gamma, tau, regime, o, v,
                 STABLE, m, i, u, t,
                 m + 1, m + 1 + s_offset,
-                comps(value, lambda N, m=m: _stable_size(ell, tau, o, v, lift, m, N)),
+                comps(rep, lambda N, m=m: _stable_size(ell, tau, o, v, lift, m, N)),
             )
         )
     return out

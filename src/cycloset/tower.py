@@ -103,7 +103,7 @@ def _enumerate_pairs(q: int, n: int) -> list[tuple[int, int]]:
     _check_qn(q, n)
     pairs = [(0, 1)]
     m = 1
-    for ell, f in factorization_plan(n).factors:
+    for ell, f in factorize(n):
         pairs = _lift_pairs(ell, q, m, pairs, f)
         m *= ell**f
     pairs.sort(key=itemgetter(0))

@@ -18,6 +18,7 @@ from cycloset import (
     degrees,
     digit_complement_S,
     enumerate_branch,
+    enumerate_cosets,
     enumerate_naive,
     generating_series,
     lift_partition,
@@ -495,6 +496,38 @@ def test_enumerate_branch_matches_oracle():
         done += 1
 
 
+# SHA-256 of one repr line per descriptor of enumerate_branch over the grid
+# below: every field a branch derives is pinned, in descriptor order, so
+# any restatement of the branch families must reproduce them byte for byte
+BRANCH_GRID_ROWS = 22_201
+BRANCH_GRID_DIGEST = "1133977b4c40c7ff8e3fcb8700fc65b5b71e8fc57234086b19c79065b1977d79"
+
+
+def test_enumerate_branch_matches_recorded_digest():
+    digest = hashlib.sha256()
+    rows = 0
+    regimes = set()
+    longest_tail = 0
+    for ell, q, n in product((2, 3, 5, 7), (2, 3, 5, 7, 17, 31, 257), (1, 3, 5, 7, 8, 9, 16, 21)):
+        if q % ell == 0 or n % ell == 0 or math.gcd(q, n) > 1:
+            continue
+        depths = [f for f in range(6) if ell**f * n <= 200_000]
+        for c in enumerate_cosets(q, n).cosets:
+            for f in depths:
+                for d in enumerate_branch(ell, q, n, c.rep, f):
+                    row = (
+                        d.regime.value, d.order_factor, d.v, d.kind, d.m, d.index,
+                        d.digit, d.t, d.qs, d.s, d.components,
+                    )
+                    digest.update((repr(row) + "\n").encode())
+                    rows += 1
+                    regimes.add(d.regime)
+                    longest_tail = max(longest_tail, len(d.t))
+    assert regimes == set(Regime)
+    assert longest_tail >= 2
+    assert (rows, digest.hexdigest()) == (BRANCH_GRID_ROWS, BRANCH_GRID_DIGEST)
+
+
 # (ell, q, n) whose base cosets reach all four regimes between them:
 # odd ell semi-splitting and splitting (q**tau = 1 mod ell only for some
 # tau, and v >= 2 for q = 19, 251), and ell = 2 with q**tau = 1 or 3 mod 4.
@@ -588,12 +621,13 @@ def test_depth_slice_matches_reference():
 
 def test_depth_slice_matches_descriptors():
     # one (ell, q, n) per regime: semi-splitting and splitting cosets
-    # mod 16, then v >= 2 splitting, and both 2-adic regimes
+    # mod 16, then v >= 2 splitting, and both 2-adic regimes; the
+    # descriptors label `_depth_slice`'s own output, so they are held to
+    # the reference kernel instead
     f = 5
     for ell, q, n in ((3, 5, 16), (3, 19, 8), (2, 17, 3), (2, 31, 3)):
-        plans = {}
         for c in enumerate_naive(q, n).cosets:
-            slices = _depth_slice(ell, q, n, c.rep, c.size, f, plans)
+            slices = _depth_slice_reference(ell, q, n, c.rep, c.size, f)
             descriptors = enumerate_branch(ell, q, n, c.rep, f)
             expected = [(d.components[-1][1], d.components[-1][2]) for d in descriptors]
             assert sorted(slices) == sorted(expected)

@@ -25,6 +25,7 @@ from cycloset import (
     verify,
 )
 from cycloset.arith import mul_order
+from cycloset.cosets import ORACLE_CAP
 from cycloset.orbits import _orbit, _orbit_mismatches, _orbit_sweep
 
 
@@ -534,6 +535,117 @@ def test_labels_prove_a_partition_past_the_oracle_cap_quickly(q, n, cosets, larg
         moved = list(pairs)
         moved[i] = (rep * pow(q, rng.randrange(1, size), n) % n, size)
         assert orbits._is_partition(q, n, moved), (q, n, m)
+
+
+def _primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]]
+
+
+def _trial_primes(m):
+    """The prime factors of m, by trial division."""
+    out = set()
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            out.add(p)
+            m //= p
+        p += 1
+    if m > 1:
+        out.add(m)
+    return out
+
+
+def _order_mod_prime_power(q, p, k):
+    # ord_{p**k}(q): the unit group's order (p - 1) * p**(k - 1), cut by
+    # each prime r while q**(t/r) is still 1
+    m, t = p**k, (p - 1) * p ** (k - 1)
+    for r in _trial_primes(p - 1) | {p}:
+        while t % r == 0 and pow(q, t // r, m) == 1:
+            t //= r
+    return t
+
+
+def _size_census(q, factors):
+    """{size: number of cosets} mod n = prod p**e: the sum over d | n of
+    phi(d) / ord_d(q) cosets of size ord_d(q), with ord_d(q) the lcm of
+    the orders mod the prime powers of d."""
+    residues = {1: 1}  # orbit size -> residues mod the prime powers so far
+    for p, e in factors:
+        steps = [(1, 1)]
+        steps += [(_order_mod_prime_power(q, p, k), (p - 1) * p ** (k - 1)) for k in range(1, e + 1)]
+        grown = Counter()
+        for o, c in residues.items():
+            for o2, c2 in steps:
+                grown[math.lcm(o, o2)] += c * c2
+        residues = grown
+    return {o: c // o for o, c in residues.items()}
+
+
+def test_labels_prove_random_partitions_past_the_oracle_cap():
+    # 30 seeded (q, n) with n in (1e7, 2**62), 2 to 5 distinct primes, each
+    # prime below 2e5 (the transversal is O(ell)), and at most 60,000
+    # cosets by a census of the test's own. Each is proved by the labels,
+    # and four corruptions of it are refused: an orbit mate of another rep
+    # of one m, a size off by one, a dropped coset, and a rep moved into
+    # another m's orbits. A corrupted pair is listed first: the pairs are
+    # unordered, and the proof then reaches its group first. About 7 s in
+    # all (CPython 3.11, shared 2-vCPU machine).
+    rng = random.Random(17)
+    primes = _primes_below(200_000)
+    qs = [q for q in range(2, 64) if len(_trial_primes(q)) == 1]
+    cases = []
+    while len(cases) < 30:
+        chosen = set()
+        for _ in range(rng.randrange(2, 6)):
+            chosen.add(rng.choice(primes[:15] if rng.random() < 0.5 else primes))
+        factors, n = [], 1
+        for p in sorted(chosen):
+            e = 1
+            while rng.random() < 0.5 and n * p ** (e + 1) < 2**62:
+                e += 1
+            factors.append((p, e))
+            n *= p**e
+        q = rng.choice(qs)
+        if not ORACLE_CAP < n < 2**62 or math.gcd(q, n) != 1:
+            continue
+        census = _size_census(q, factors)
+        if sum(census.values()) <= 60_000:
+            cases.append((q, n, census))
+    mates = 0
+    for q, n, census in cases:
+        pairs = tower._enumerate_pairs(q, n)
+        assert Counter(size for _, size in pairs) == census, (q, n)
+        assert orbits._is_partition(q, n, pairs), (q, n)
+        of_m = {}
+        for i, (rep, _) in enumerate(pairs):
+            of_m.setdefault(n // math.gcd(rep, n), []).append(i)
+
+        def refused(i, pair):
+            corrupt = [pair] + pairs[:i] + pairs[i + 1 :]
+            return not orbits._is_partition(q, n, corrupt)
+
+        groups = [group for group in of_m.values() if len(group) > 1]
+        if groups:
+            i, j = rng.sample(rng.choice(groups), 2)
+            assert refused(i, (q * pairs[j][0] % n, pairs[j][1])), (q, n, i, j)
+            mates += 1
+        i = rng.randrange(len(pairs))
+        rep, size = pairs[i]
+        assert refused(i, (rep, size + 1)), (q, n, i)
+        assert not orbits._is_partition(q, n, pairs[:i] + pairs[i + 1 :]), (q, n, i)
+        # into an orbit of another m, of the same size when there is one,
+        # so that only that m's labels can refuse it
+        m = n // math.gcd(rep, n)
+        others = [j for k, group in of_m.items() if k != m for j in group]
+        same = [j for j in others if pairs[j][1] == size]
+        j = rng.choice(same or others)
+        assert refused(i, (q * pairs[j][0] % n, size)), (q, n, i, j)
+    assert mates >= 25, mates
 
 
 def test_labels_of_many_short_orbits_hold_one_entry_per_key():
